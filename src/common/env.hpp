@@ -7,7 +7,8 @@
  * place) instead of re-implemented per call site:
  *
  *  - SPMRT_BENCH_QUICK       bool  shrink bench inputs for smoke runs
- *  - SPMRT_ENGINE_REFERENCE  bool  default to the linear-scan scheduler
+ *  - SPMRT_ENGINE_SCHED      str   engine scheduler: reference|fast
+ *                                  (fatal on any other value)
  *  - SPMRT_TRACE_OUT         str   arm telemetry and write a Chrome trace
  *  - SPMRT_MACHINE           str   machine-geometry spec override; parsed
  *                                  by MachineConfig::fromSpec (fatal on a
@@ -29,8 +30,8 @@ namespace env {
 
 /**
  * Boolean knob: unset -> @p fallback; else true iff the first character
- * is '1' (matching the historical SPMRT_BENCH_QUICK / SPMRT_ENGINE_REFERENCE
- * convention, so "0", "" and anything else read as false).
+ * is '1' (matching the historical SPMRT_BENCH_QUICK convention, so "0",
+ * "" and anything else read as false).
  */
 inline bool
 boolValue(const char *name, bool fallback = false)

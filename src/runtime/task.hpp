@@ -18,7 +18,6 @@
 #define SPMRT_RUNTIME_TASK_HPP
 
 #include <cstdint>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -93,14 +92,6 @@ makeClosureTask(F fn, uint32_t frame_bytes = 64)
 /**
  * Host-side registry translating the 32-bit "task pointers" stored in
  * simulated task-queue slots into host Task objects. Ids are recycled.
- *
- * Thread-safe: under the windowed engine, cores on different shard
- * threads spawn and pop tasks concurrently, so the slot table is
- * mutex-protected. Which id value a task receives then depends on host
- * arrival order — harmless, because ids only round-trip through queue
- * slots back to this table and never influence timing or workload
- * output (the equivalence suite's digests cover outputs, not transient
- * queue words).
  */
 class TaskRegistry
 {
@@ -110,7 +101,6 @@ class TaskRegistry
     add(Task *task)
     {
         SPMRT_ASSERT(task != nullptr, "registering null task");
-        std::lock_guard<std::mutex> lock(mu_);
         uint32_t id;
         if (!freeIds_.empty()) {
             id = freeIds_.back();
@@ -128,7 +118,6 @@ class TaskRegistry
     Task *
     get(uint32_t id) const
     {
-        std::lock_guard<std::mutex> lock(mu_);
         SPMRT_ASSERT(id != 0 && id < slots_.size() && slots_[id] != nullptr,
                      "bad task id %u", id);
         return slots_[id];
@@ -138,7 +127,6 @@ class TaskRegistry
     void
     remove(uint32_t id)
     {
-        std::lock_guard<std::mutex> lock(mu_);
         SPMRT_ASSERT(id != 0 && id < slots_.size() && slots_[id] != nullptr,
                      "removing bad task id %u", id);
         slots_[id]->id = 0;
@@ -150,7 +138,6 @@ class TaskRegistry
     size_t
     liveCount() const
     {
-        std::lock_guard<std::mutex> lock(mu_);
         return slots_.size() - 1 - freeIds_.size();
     }
 
@@ -165,7 +152,6 @@ class TaskRegistry
     size_t
     reapAbandoned()
     {
-        std::lock_guard<std::mutex> lock(mu_);
         size_t deleted = 0;
         for (size_t id = 1; id < slots_.size(); ++id) {
             Task *task = slots_[id];
@@ -184,7 +170,6 @@ class TaskRegistry
     TaskRegistry() { slots_.push_back(nullptr); /* id 0 is null */ }
 
   private:
-    mutable std::mutex mu_;
     std::vector<Task *> slots_;
     std::vector<uint32_t> freeIds_;
 };

@@ -73,7 +73,7 @@ class GuestContext
      * TSan fiber handle: created by init() for coroutine contexts, or
      * captured lazily (the host thread's implicit fiber) the first time
      * a root context — one that merely names a thread's native stack,
-     * like the engine's scheduler and shard-loop contexts — switches
+     * like the engine's scheduler context — switches
      * away. Owned (and destroyed) only when init() created it.
      */
     void *tsanFiber_ = nullptr;

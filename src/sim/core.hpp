@@ -76,12 +76,10 @@ struct CoreStats
  * core id) order. Because the delta is uniform, that commit order is
  * exactly the issue-gate order, so the memory system observes the same
  * call sequence with the same timestamps regardless of how guest
- * execution is interleaved across host threads; this is what makes the
- * windowed parallel scheduler byte-identical to the sequential one
- * (DESIGN.md Sec. 14). On the sequential fast path an op whose commit
- * key is already globally next executes inline at the issue site
- * (Engine::remoteInlineOk) with no capture and no context switch, so a
- * run with spread-out core clocks behaves exactly like the historical
+ * execution is interleaved (DESIGN.md Sec. 14). On the fast path an op
+ * whose commit key is already globally next executes inline at the issue
+ * site (Engine::remoteInlineOk) with no capture and no context switch, so
+ * a run with spread-out core clocks behaves exactly like the historical
  * commit-at-issue engine. Otherwise the op is captured into this core's
  * FIFO and the engine commits it — via executeHeadOp() — when its key
  * is globally next: blocking ops park the core until the commit

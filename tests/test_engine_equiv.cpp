@@ -58,6 +58,13 @@ makeRegimes()
     return regimes;
 }
 
+/** The oracle when @p reference, else the fast scheduler. */
+SchedMode
+schedFor(bool reference)
+{
+    return reference ? SchedMode::Reference : SchedMode::Fast;
+}
+
 /** Everything the two schedulers must agree on. */
 struct Outcome
 {
@@ -157,22 +164,10 @@ makeWorkloads()
  */
 Outcome
 runOnceOn(const MachineConfig &cfg, const Workload &workload,
-          const Regime &regime, bool reference, bool compiled_routes = true,
-          uint32_t shards = 1, SchedMode mode = SchedMode::Token,
-          bool rebalance = false)
+          const Regime &regime, bool reference, bool compiled_routes = true)
 {
     Machine machine(cfg);
-    machine.engine().setScheduler(reference ? SchedMode::Reference : mode);
-    machine.engine().setShards(shards);
-    if (rebalance) {
-        // Profile-driven boundary re-planning with a deliberately skewed
-        // primed profile: any contiguous plan must be result-equivalent.
-        machine.engine().setShardRebalance(true);
-        std::vector<uint64_t> profile(cfg.numCores());
-        for (uint32_t i = 0; i < cfg.numCores(); ++i)
-            profile[i] = 1 + (i * 7) % 13;
-        machine.engine().primeShardProfile(std::move(profile));
-    }
+    machine.engine().setScheduler(schedFor(reference));
     machine.mem().noc().setCompiledRoutes(compiled_routes);
     ConcurrencyChecker *ck = machine.armChecker();
     if (regime.perturb)
@@ -205,11 +200,10 @@ runOnceOn(const MachineConfig &cfg, const Workload &workload,
 /** The historical single-geometry entry point: runs on tiny(). */
 Outcome
 runOnce(const Workload &workload, const Regime &regime, bool reference,
-        bool compiled_routes = true, uint32_t shards = 1,
-        SchedMode mode = SchedMode::Token)
+        bool compiled_routes = true)
 {
     return runOnceOn(MachineConfig::tiny(), workload, regime, reference,
-                     compiled_routes, shards, mode);
+                     compiled_routes);
 }
 
 class SchedulerEquivalence : public ::testing::TestWithParam<size_t>
@@ -255,149 +249,13 @@ workloadName(const ::testing::TestParamInfo<size_t> &info)
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, SchedulerEquivalence,
                          ::testing::Range<size_t>(0, 4), workloadName);
 
-// ---- Host-parallel engine vs. the sequential fast engine -----------------
-
-/**
- * The sharded engine's contract is the same as the fast scheduler's:
- * host cost may change, simulation must not. For every workload, shard
- * count, and scheduling regime — strict, four perturbation seeds, and
- * fault-injected — a parallel run must produce byte-identical digests,
- * cycle counts, and switch/syncPoint counts against the sequential fast
- * engine, with the concurrency checker armed and silent on both sides.
- * One shard must take the sequential path exactly (it *is* the baseline
- * by construction, but the run is kept in the matrix so a regression
- * that accidentally engages the token machinery at one shard fails
- * loudly).
- */
-class ParallelEngineEquivalence : public ::testing::TestWithParam<size_t>
-{
-};
-
-TEST_P(ParallelEngineEquivalence, ShardedMatchesSequentialBitForBit)
-{
-    const Workload workload = makeWorkloads()[GetParam()];
-    SCOPED_TRACE(workload.name);
-
-    std::vector<Regime> regimes;
-    regimes.push_back({"strict", false, 0, false, 0});
-    for (uint64_t seed = 1; seed <= 4; ++seed)
-        regimes.push_back({"perturbed", true, seed, false, 0});
-    regimes.push_back({"faulted", false, 0, true, 5});
-
-    for (const Regime &regime : regimes) {
-        SCOPED_TRACE(regime.name);
-        Outcome sequential = runOnce(workload, regime, false);
-        EXPECT_EQ(sequential.digest, workload.reference);
-
-        for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-            SCOPED_TRACE(std::to_string(shards) + " shards");
-            Outcome sharded =
-                runOnce(workload, regime, false, true, shards);
-            EXPECT_EQ(sharded.digest, sequential.digest)
-                << "result diverged under " << shards << " shards";
-            EXPECT_EQ(sharded.cycles, sequential.cycles)
-                << "cycle counts diverged under " << shards << " shards";
-            EXPECT_EQ(sharded.switches, sequential.switches)
-                << "switch counts diverged under " << shards << " shards";
-            EXPECT_EQ(sharded.syncPoints, sequential.syncPoints)
-                << "syncPoint counts diverged under " << shards
-                << " shards";
-#if SPMRT_CHECKER_ENABLED
-            EXPECT_EQ(sharded.violations, 0u)
-                << shards << " shards:\n" << sharded.report;
-#endif
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllWorkloads, ParallelEngineEquivalence,
-                         ::testing::Range<size_t>(0, 4), workloadName);
-
-// ---- Windowed concurrent engine vs. the sequential fast engine -----------
-
-/**
- * The windowed engine removes the grant token: shard threads run
- * concurrently below a conservative horizon and synchronize at window
- * barriers, where the coordinator replays per-shard record logs through
- * a model of the sequential scheduler. The contract is unchanged: for
- * every workload, shard count, and regime the digests, cycle counts, and
- * switch/syncPoint counts must be byte-identical to the sequential fast
- * engine with the checker armed and silent. Under schedule perturbation
- * the windowed mode falls back to token passing (the perturbation RNG is
- * one global stream), which must *also* match — the fallback is part of
- * the contract, so the perturbed regime stays in this matrix.
- */
-class WindowedEngineEquivalence : public ::testing::TestWithParam<size_t>
-{
-};
-
-TEST_P(WindowedEngineEquivalence, WindowedMatchesSequentialBitForBit)
-{
-    const Workload workload = makeWorkloads()[GetParam()];
-    SCOPED_TRACE(workload.name);
-
-    std::vector<Regime> regimes;
-    regimes.push_back({"strict", false, 0, false, 0});
-    regimes.push_back({"perturbed", true, 2, false, 0});
-    regimes.push_back({"faulted", false, 0, true, 5});
-
-    for (const Regime &regime : regimes) {
-        SCOPED_TRACE(regime.name);
-        Outcome sequential = runOnce(workload, regime, false);
-        EXPECT_EQ(sequential.digest, workload.reference);
-
-        for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-            SCOPED_TRACE(std::to_string(shards) + " shards");
-            Outcome windowed = runOnce(workload, regime, false, true,
-                                       shards, SchedMode::Windowed);
-            EXPECT_EQ(windowed.digest, sequential.digest)
-                << "result diverged under " << shards << " shards";
-            EXPECT_EQ(windowed.cycles, sequential.cycles)
-                << "cycle counts diverged under " << shards << " shards";
-            EXPECT_EQ(windowed.switches, sequential.switches)
-                << "switch counts diverged under " << shards << " shards";
-            EXPECT_EQ(windowed.syncPoints, sequential.syncPoints)
-                << "syncPoint counts diverged under " << shards
-                << " shards";
-#if SPMRT_CHECKER_ENABLED
-            EXPECT_EQ(windowed.violations, 0u)
-                << shards << " shards:\n" << windowed.report;
-#endif
-        }
-
-        // Rebalanced leg: a skewed primed profile moves the shard
-        // boundaries, which must not move a single byte of the result.
-        {
-            SCOPED_TRACE("4 shards, rebalanced");
-            Outcome rebalanced =
-                runOnceOn(MachineConfig::tiny(), workload, regime, false,
-                          true, 4, SchedMode::Windowed, true);
-            EXPECT_EQ(rebalanced.digest, sequential.digest)
-                << "result diverged under a rebalanced plan";
-            EXPECT_EQ(rebalanced.cycles, sequential.cycles)
-                << "cycle counts diverged under a rebalanced plan";
-            EXPECT_EQ(rebalanced.switches, sequential.switches);
-            EXPECT_EQ(rebalanced.syncPoints, sequential.syncPoints);
-#if SPMRT_CHECKER_ENABLED
-            EXPECT_EQ(rebalanced.violations, 0u) << rebalanced.report;
-#endif
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllWorkloads, WindowedEngineEquivalence,
-                         ::testing::Range<size_t>(0, 4), workloadName);
-
 // ---- Free machine geometry: equivalence off the paper floorplan ----------
 
 /**
  * A machine the paper never built: Y-ruched, single-edge LLC, dual
  * DRAM channel. Nothing in the engine-equivalence contract is allowed
- * to depend on the floorplan, and the windowed engine's conservative
- * lookahead is computed from the closed-form route latency — which must
- * stay an exact lower bound under every geometry or the windowed runs
- * drift. This leg crosses both sharded engines against the sequential
- * fast engine on such a machine, checker armed.
+ * to depend on the floorplan, so this leg crosses the fast scheduler
+ * against the reference oracle on such a machine, checker armed.
  */
 MachineConfig
 offPaperConfig()
@@ -423,62 +281,42 @@ TEST(GeometryEquivalence, OffPaperMachineMatchesSequentialBitForBit)
         SCOPED_TRACE(workload.name);
         for (const Regime &regime : regimes) {
             SCOPED_TRACE(regime.name);
-            Outcome sequential = runOnceOn(cfg, workload, regime, false);
-            EXPECT_EQ(sequential.digest, workload.reference)
-                << "sequential run computed a wrong result off-paper";
-
-            for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-                SCOPED_TRACE(std::to_string(shards) + " shards");
-                for (SchedMode mode :
-                     {SchedMode::Token, SchedMode::Windowed}) {
-                    SCOPED_TRACE(mode == SchedMode::Token ? "token"
-                                                          : "windowed");
-                    Outcome run = runOnceOn(cfg, workload, regime, false,
-                                            true, shards, mode);
-                    EXPECT_EQ(run.digest, sequential.digest)
-                        << "result diverged off the paper floorplan";
-                    EXPECT_EQ(run.cycles, sequential.cycles)
-                        << "cycle counts diverged off the paper floorplan";
-                    EXPECT_EQ(run.switches, sequential.switches);
-                    EXPECT_EQ(run.syncPoints, sequential.syncPoints);
+            Outcome fast = runOnceOn(cfg, workload, regime, false);
+            Outcome oracle = runOnceOn(cfg, workload, regime, true);
+            EXPECT_EQ(fast.digest, workload.reference)
+                << "fast run computed a wrong result off-paper";
+            EXPECT_EQ(fast.digest, oracle.digest)
+                << "result diverged off the paper floorplan";
+            EXPECT_EQ(fast.cycles, oracle.cycles)
+                << "cycle counts diverged off the paper floorplan";
+            EXPECT_EQ(fast.switches, oracle.switches);
+            EXPECT_EQ(fast.syncPoints, oracle.syncPoints);
 #if SPMRT_CHECKER_ENABLED
-                    EXPECT_EQ(run.violations, 0u) << run.report;
+            EXPECT_EQ(fast.violations, 0u) << fast.report;
+            EXPECT_EQ(oracle.violations, 0u) << oracle.report;
 #endif
-                }
-            }
         }
     }
 }
 
 /**
- * The scale acceptance gate: the 32x32 four-channel big1024() preset
- * must run every equivalence workload windowed byte-identical to the
- * sequential fast engine — digests, cycle counts, and switch/syncPoint
- * counts — with the checker armed. A 1024-core machine is where a
- * lookahead that is merely *approximately* a lower bound, or a route
- * table compiled for the 16x8 floorplan, actually breaks.
+ * The scale gate: on the 32x32 four-channel big1024() preset every
+ * equivalence workload must compute the host reference result with the
+ * checker armed and silent. A 1024-core machine is where a route table
+ * compiled for the 16x8 floorplan, or an id field too narrow for the
+ * packed heap key, actually breaks.
  */
-TEST(GeometryEquivalence, Big1024WindowedMatchesSequentialFast)
+TEST(GeometryEquivalence, Big1024FastMatchesHostReference)
 {
     const MachineConfig cfg = MachineConfig::big1024();
     const Regime strict{"strict", false, 0, false, 0};
     for (const Workload &workload : makeWorkloads()) {
         SCOPED_TRACE(workload.name);
-        Outcome sequential = runOnceOn(cfg, workload, strict, false);
-        EXPECT_EQ(sequential.digest, workload.reference)
-            << "sequential run computed a wrong result on big1024";
-
-        Outcome windowed = runOnceOn(cfg, workload, strict, false, true, 4,
-                                     SchedMode::Windowed);
-        EXPECT_EQ(windowed.digest, sequential.digest)
-            << "windowed result diverged on big1024";
-        EXPECT_EQ(windowed.cycles, sequential.cycles)
-            << "windowed cycle count diverged on big1024";
-        EXPECT_EQ(windowed.switches, sequential.switches);
-        EXPECT_EQ(windowed.syncPoints, sequential.syncPoints);
+        Outcome fast = runOnceOn(cfg, workload, strict, false);
+        EXPECT_EQ(fast.digest, workload.reference)
+            << "fast run computed a wrong result on big1024";
 #if SPMRT_CHECKER_ENABLED
-        EXPECT_EQ(windowed.violations, 0u) << windowed.report;
-        EXPECT_EQ(sequential.violations, 0u) << sequential.report;
+        EXPECT_EQ(fast.violations, 0u) << fast.report;
 #endif
     }
 }
@@ -563,7 +401,7 @@ EngineTrace
 interleaveTrace(bool reference, uint64_t perturb_seed)
 {
     Engine engine(4, 64 * 1024);
-    engine.setReferenceScheduler(reference);
+    engine.setScheduler(schedFor(reference));
     if (perturb_seed != 0)
         engine.perturbSchedule(perturb_seed, 4);
     EngineTrace trace;
@@ -600,7 +438,7 @@ TEST(SchedulerEquivalence, BlockUnblockMatches)
     // other-min fold on unblock.
     auto run = [](bool reference) {
         Engine engine(2, 64 * 1024);
-        engine.setReferenceScheduler(reference);
+        engine.setScheduler(schedFor(reference));
         EngineTrace trace;
         engine.setBody(0, [&engine, &trace] {
             engine.block(0);
@@ -655,11 +493,45 @@ TEST(SchedulerEquivalence, MaxTimeIsLiveDuringARun)
 TEST(SchedulerEquivalence, SchedulerSelectionIsExplicit)
 {
     Engine engine(1, 64 * 1024);
-    bool initial = engine.referenceScheduler();
-    engine.setReferenceScheduler(!initial);
-    EXPECT_EQ(engine.referenceScheduler(), !initial);
-    engine.setReferenceScheduler(initial);
-    EXPECT_EQ(engine.referenceScheduler(), initial);
+    const SchedMode initial = engine.scheduler();
+    const SchedMode other = initial == SchedMode::Reference
+                                ? SchedMode::Fast
+                                : SchedMode::Reference;
+    engine.setScheduler(other);
+    EXPECT_EQ(engine.scheduler(), other);
+    engine.setScheduler(initial);
+    EXPECT_EQ(engine.scheduler(), initial);
+}
+
+// The suite name dates from when the engine also had host-parallel
+// scheduling modes; the property it pins is unchanged.
+TEST(ShardEngine, ReusableAcrossModeChanges)
+{
+    // One engine, alternating fast and reference runs: coroutine stacks
+    // parked under one scheduler must resume correctly under the other,
+    // and clocks persist across runs in every mode.
+    Engine engine(4, 64 * 1024);
+    int counters[4] = {0, 0, 0, 0};
+    auto arm = [&] {
+        for (CoreId i = 0; i < 4; ++i)
+            engine.setBody(i, [&engine, &counters, i] {
+                engine.advance(i, 10);
+                engine.syncPoint(i);
+                ++counters[i];
+            });
+    };
+    const SchedMode runs[] = {SchedMode::Fast, SchedMode::Reference,
+                              SchedMode::Reference, SchedMode::Fast,
+                              SchedMode::Reference};
+    for (SchedMode mode : runs) {
+        engine.setScheduler(mode);
+        arm();
+        engine.run();
+    }
+    for (CoreId i = 0; i < 4; ++i) {
+        EXPECT_EQ(counters[i], 5) << "core " << i;
+        EXPECT_EQ(engine.time(i), 50u) << "core " << i;
+    }
 }
 
 } // namespace

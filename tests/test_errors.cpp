@@ -9,7 +9,6 @@
 
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "mem/alloc.hpp"
 #include "sim/machine.hpp"
@@ -175,84 +174,34 @@ TEST(BulkAccess, UnalignedSpansAcrossLineBoundaries)
     });
 }
 
-// An invalid SPMRT_ENGINE_SHARDS value must fail fast at engine
-// construction with a diagnostic naming the offending value — not be
-// silently clamped into a run the user did not ask for. The setenv runs
-// inside the death-test child, so the parent process (and every other
-// test) never sees the variable.
-TEST(ErrorsDeathTest, ShardEnvZeroPanics)
+// An unknown SPMRT_ENGINE_SCHED value — including the names of the
+// retired host-parallel schedulers — must fail fast at engine
+// construction with a diagnostic that names the valid schedulers, not
+// silently fall back to a default. The setenv runs inside the
+// death-test child, so the parent process (and every other test) never
+// sees the variable.
+class SchedEnvDeathTest : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(SchedEnvDeathTest, UnknownSchedulerIsFatal)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const char *name = GetParam();
     EXPECT_DEATH(
         {
-            ::setenv("SPMRT_ENGINE_SHARDS", "0", 1);
+            ::setenv("SPMRT_ENGINE_SCHED", name, 1);
             Engine engine(2, 64 * 1024);
         },
-        "SPMRT_ENGINE_SHARDS.*'0' is zero");
+        std::string("SPMRT_ENGINE_SCHED: unknown scheduler \"") + name +
+            "\" \\(expected reference or fast\\)");
 }
 
-TEST(ErrorsDeathTest, ShardEnvNonNumericPanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(
-        {
-            ::setenv("SPMRT_ENGINE_SHARDS", "many", 1);
-            Engine engine(2, 64 * 1024);
-        },
-        "SPMRT_ENGINE_SHARDS.*'many' is not a number");
-}
-
-TEST(ErrorsDeathTest, ShardEnvTrailingGarbagePanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(
-        {
-            ::setenv("SPMRT_ENGINE_SHARDS", "4x", 1);
-            Engine engine(2, 64 * 1024);
-        },
-        "SPMRT_ENGINE_SHARDS.*'4x' has trailing garbage");
-}
-
-TEST(ErrorsDeathTest, ShardEnvAutoIsAccepted)
-{
-    // 'auto' resolves to the host's concurrency (or sequential on an
-    // unknown host) — never a panic. The child exits 0 on success;
-    // EXPECT_EXIT keeps the setenv quarantined like the death tests.
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_EXIT(
-        {
-            ::setenv("SPMRT_ENGINE_SHARDS", "auto", 1);
-            Engine engine(2, 64 * 1024);
-            std::exit(0);
-        },
-        ::testing::ExitedWithCode(0), "");
-}
-
-TEST(ErrorsDeathTest, ShardEnvMisspelledAutoPanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(
-        {
-            ::setenv("SPMRT_ENGINE_SHARDS", "automatic", 1);
-            Engine engine(2, 64 * 1024);
-        },
-        "SPMRT_ENGINE_SHARDS.*'automatic' is not a number");
-}
-
-TEST(ErrorsDeathTest, ShardEnvBeyondHostCoresPanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    if (std::thread::hardware_concurrency() == 0)
-        GTEST_SKIP() << "host core count unknown; upper bound not enforced";
-    std::string beyond =
-        std::to_string(std::thread::hardware_concurrency() + 1);
-    EXPECT_DEATH(
-        {
-            ::setenv("SPMRT_ENGINE_SHARDS", beyond.c_str(), 1);
-            Engine engine(2, 64 * 1024);
-        },
-        "SPMRT_ENGINE_SHARDS.*exceeds the .* host cores");
-}
+INSTANTIATE_TEST_SUITE_P(RetiredAndBogus, SchedEnvDeathTest,
+                         ::testing::Values("token", "windowed", "garbage"),
+                         [](const ::testing::TestParamInfo<const char *> &i) {
+                             return std::string(i.param);
+                         });
 
 // ---- machine-geometry validation -----------------------------------------
 //

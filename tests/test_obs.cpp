@@ -96,44 +96,11 @@ TEST(TelemetryNeutrality, ArmedRunsBitIdenticalToOff)
     }
 }
 
-TEST(TelemetryNeutrality, WindowTelemetryArmedBitIdenticalToOff)
-{
-    // The window-telemetry counters are always counted; arming only
-    // registers their addresses. So an armed windowed run must stay
-    // bit-identical to an off one — and must count the same number of
-    // windows, or the counters themselves perturbed the schedule.
-    auto run = [](bool armed, RunCapture &capture) -> uint64_t {
-        Machine machine(MachineConfig::tiny());
-        machine.engine().setScheduler(SchedMode::Windowed);
-        machine.engine().setShards(2);
-        if (armed)
-            machine.armTelemetry();
-        WorkStealingRuntime rt(machine, RuntimeConfig::full());
-        Addr out = machine.dramAlloc(8, 8);
-        rt.run([&](TaskContext &tc) { fibKernel(tc, 11, out); });
-        capture.digest =
-            static_cast<uint64_t>(machine.mem().peekAs<int64_t>(out));
-        capture.maxTime = machine.engine().maxTime();
-        capture.switches = machine.engine().switchCount();
-        capture.syncPoints = machine.engine().syncPointCount();
-        return machine.engine().windowStats().windows;
-    };
-    RunCapture off, armed;
-    const uint64_t off_windows = run(false, off);
-    const uint64_t armed_windows = run(true, armed);
-    EXPECT_GT(off_windows, 0u);
-    EXPECT_EQ(off_windows, armed_windows);
-    EXPECT_EQ(off.digest, armed.digest);
-    EXPECT_EQ(off.maxTime, armed.maxTime);
-    EXPECT_EQ(off.switches, armed.switches);
-    EXPECT_EQ(off.syncPoints, armed.syncPoints);
-}
-
 TEST(TelemetryNeutrality, ReferenceSchedulerAlsoUnperturbed)
 {
     auto run = [](bool armed) {
         Machine machine(MachineConfig::tiny());
-        machine.engine().setReferenceScheduler(true);
+        machine.engine().setScheduler(SchedMode::Reference);
         if (armed)
             machine.armTelemetry();
         WorkStealingRuntime rt(machine, RuntimeConfig::full());
@@ -325,42 +292,6 @@ TEST(StatRegistry, SnapshotsTrackLiveCounters)
     size_t count_after = 0;
     stats.forEach([&](const std::string &, uint64_t) { ++count_after; });
     EXPECT_EQ(count, count_after);
-}
-
-TEST(StatRegistry, WindowTelemetryTracksEngine)
-{
-    Machine machine(MachineConfig::tiny());
-    machine.engine().setScheduler(SchedMode::Windowed);
-    machine.engine().setShards(2);
-    obs::Telemetry *telemetry = machine.armTelemetry();
-    ASSERT_NE(telemetry, nullptr);
-    WorkStealingRuntime rt(machine, RuntimeConfig::full());
-    Addr out = machine.dramAlloc(8, 8);
-    rt.run([&](TaskContext &tc) { fibKernel(tc, 11, out); });
-
-    const obs::WindowStats &ws = machine.engine().windowStats();
-    EXPECT_GT(ws.windows, 0u);
-    EXPECT_GT(ws.admitted, 0u);
-    obs::StatRegistry &stats = telemetry->stats;
-    EXPECT_EQ(stats.value("engine/win/windows"), ws.windows);
-    EXPECT_EQ(stats.value("engine/win/admitted"), ws.admitted);
-    EXPECT_EQ(stats.value("engine/win/barrier_ns"), ws.barrierNs);
-    EXPECT_EQ(stats.value("engine/win/shard/00/admitted"),
-              ws.shardAdmitted[0]);
-
-    // Every window lands in exactly one length bucket.
-    uint64_t bucketed = 0;
-    for (uint64_t b : ws.winLenBuckets)
-        bucketed += b;
-    EXPECT_EQ(bucketed, ws.windows);
-
-    // The JSON export carries the schema tag and per-shard rows (the
-    // bench harness writes it as the CI telemetry artifact).
-    std::string json = ws.json();
-    EXPECT_NE(json.find("\"spmrt-window-telemetry-v1\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"win_len_buckets\""), std::string::npos);
-    EXPECT_NE(json.find("\"shards\""), std::string::npos);
 }
 
 TEST(Tracer, BoundedBufferCountsDrops)
