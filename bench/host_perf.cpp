@@ -26,10 +26,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/support.hpp"
+#include "common/host.hpp"
 #include "runtime/ws_runtime.hpp"
 #include "serve/server.hpp"
 #include "serve/workloads.hpp"
@@ -228,7 +228,7 @@ main(int argc, char **argv)
     // Recorded in every row: a wall-clock ratio (the fleet series'
     // multi-worker scaling above all) only means anything relative to
     // how many host cores the measuring machine had.
-    const uint32_t host_cores = std::thread::hardware_concurrency();
+    const uint32_t host_cores = host::usableCores();
 
     // The trajectory file keeps its own schema (spmrt-host-perf-v1):
     // CI's bench-smoke gate and the committed baseline both parse it.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include <sys/mman.h>
+
 #include "obs/stats.hpp"
 
 namespace spmrt {
@@ -13,10 +15,24 @@ constexpr uint32_t kRequestPayload = 4;
 
 } // namespace
 
-MemorySystem::MemorySystem(const MachineConfig &cfg)
-    : cfg_(cfg), map_(cfg), noc_(cfg), dram_(cfg), llc_(cfg, dram_)
+ZeroPages::ZeroPages(size_t bytes) : bytes_(bytes)
 {
-    dramData_.assign(cfg.dramBytes, 0);
+    void *base = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (base == MAP_FAILED)
+        SPMRT_FATAL("cannot mmap %zu-byte zeroed backing store", bytes_);
+    data_ = static_cast<uint8_t *>(base);
+}
+
+ZeroPages::~ZeroPages()
+{
+    ::munmap(data_, bytes_);
+}
+
+MemorySystem::MemorySystem(const MachineConfig &cfg)
+    : cfg_(cfg), map_(cfg), noc_(cfg), dram_(cfg), llc_(cfg, dram_),
+      dramData_(cfg.dramBytes)
+{
     spmData_.assign(static_cast<size_t>(cfg.numCores()) * cfg.spmBytes, 0);
     spmPorts_.assign(cfg.numCores(), FluidServer(1));
     storeDrain_.assign(cfg.numCores(), 0);
@@ -32,7 +48,7 @@ MemorySystem::backing(const DecodedAddr &decoded, uint32_t size)
                              cfg_.spmBytes +
                          decoded.offset];
     }
-    return &dramData_[decoded.offset];
+    return dramData_.data() + decoded.offset;
 }
 
 const uint8_t *

@@ -4,7 +4,10 @@
  *
  * Functionally, the PGAS is backed by flat host arrays (one per SPM, one
  * for DRAM); every simulated access moves real bytes, so workloads compute
- * real results that tests can verify.
+ * real results that tests can verify. DRAM is lazily zeroed anonymous
+ * memory (ZeroPages): a page costs host time and RSS only once a
+ * simulated access or a poke first touches it, so building a Machine is
+ * independent of dramBytes.
  *
  * Timing follows HammerBlade's organization:
  *  - local SPM: serialize on the SPM port, then a fixed 2-cycle latency;
@@ -65,6 +68,28 @@ struct BurstResult
     uint64_t chunks = 0;  ///< line-sized chunks the burst split into
     Cycles lastDone = 0;  ///< completion time of the slowest chunk (loads)
     Cycles lastIssue = 0; ///< issue time one past the final chunk (stores)
+};
+
+/**
+ * Sole owner of a lazily zeroed host buffer: an anonymous private
+ * mapping, reserved without swap accounting. The kernel backs each page
+ * with zeros on first touch, so untouched bytes read as zero and cost
+ * neither fill time nor resident memory.
+ */
+class ZeroPages
+{
+  public:
+    explicit ZeroPages(size_t bytes);
+    ~ZeroPages();
+
+    ZeroPages(const ZeroPages &) = delete;
+    ZeroPages &operator=(const ZeroPages &) = delete;
+
+    uint8_t *data() const { return data_; }
+
+  private:
+    uint8_t *data_ = nullptr;
+    size_t bytes_ = 0;
 };
 
 /**
@@ -347,7 +372,7 @@ class MemorySystem
     DramModel dram_;
     LlcModel llc_;
 
-    std::vector<uint8_t> dramData_;
+    ZeroPages dramData_;
     std::vector<uint8_t> spmData_; ///< all cores' SPMs, contiguous
     std::vector<FluidServer> spmPorts_;
     std::vector<Cycles> storeDrain_;

@@ -136,12 +136,15 @@ JobReport::toJson() const
         "{\"id\":%llu,\"name\":\"%s\",\"status\":\"%s\","
         "\"digest\":\"0x%016llx\",\"cycles\":%llu,\"attempts\":%u,"
         "\"from_cache\":%s,\"quarantined\":%s,\"backoff_ms\":%s,"
-        "\"wall_ms\":%.3f,\"error\":\"%s\",\"dump\":\"%s\"}",
+        "\"wall_ms\":%.3f,\"build_ms\":%.3f,\"prepare_ms\":%.3f,"
+        "\"run_ms\":%.3f,\"digest_ms\":%.3f,"
+        "\"error\":\"%s\",\"dump\":\"%s\"}",
         static_cast<unsigned long long>(id), jsonEscape(name).c_str(),
         jobStatusName(status), static_cast<unsigned long long>(digest),
         static_cast<unsigned long long>(cycles), attempts,
         fromCache ? "true" : "false", quarantined ? "true" : "false",
-        backoffs.c_str(), wallMs, jsonEscape(error).c_str(),
+        backoffs.c_str(), wallMs, buildMs, prepareMs, runMs, digestMs,
+        jsonEscape(error).c_str(),
         jsonEscape(dump).c_str());
 }
 

@@ -200,6 +200,18 @@ struct JobReport
     std::vector<uint32_t> backoffMs; ///< recorded delay before each retry
     double wallMs = 0;          ///< wall time across all attempts
 
+    /** @name Host wall time per phase (ms), summed over attempts
+     *  Host timing only: never part of a digest, cache key or simulated
+     *  cycle count. Zero for jobs that did not simulate (cache hits,
+     *  coalesced followers, shed or quarantined jobs).
+     *  @{
+     */
+    double buildMs = 0;   ///< Machine construction and supervision setup
+    double prepareMs = 0; ///< prepare(): input build and upload
+    double runMs = 0;     ///< runtime construction and the simulation
+    double digestMs = 0;  ///< untimed digest read-back
+    /** @} */
+
     /** One JSON object (spmrt-fleet-report-v1 `jobs[]` element). */
     std::string toJson() const;
 };

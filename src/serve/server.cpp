@@ -4,6 +4,7 @@
 #include <cctype>
 #include <stdexcept>
 
+#include "common/host.hpp"
 #include "common/log.hpp"
 #include "runtime/static_runtime.hpp"
 #include "runtime/ws_runtime.hpp"
@@ -82,8 +83,7 @@ FleetServer::FleetServer(FleetConfig cfg) : cfg_(std::move(cfg))
 {
     workerCount_ = cfg_.workers;
     if (workerCount_ == 0) {
-        uint32_t hw = std::thread::hardware_concurrency();
-        workerCount_ = std::min<uint32_t>(4, hw == 0 ? 1 : hw);
+        workerCount_ = std::min<uint32_t>(4, host::usableCores());
     }
     threads_.reserve(workerCount_);
     for (uint32_t i = 0; i < workerCount_; ++i)
@@ -395,6 +395,15 @@ FleetServer::runAttempt(Job &job, uint32_t attempt)
         deadline_armed = false;
     };
 
+    // Host wall per phase, added to the report as each phase ends (an
+    // attempt that throws keeps the phases it finished).
+    Clock::time_point mark = Clock::now();
+    auto lap = [&mark](double &phase_ms) {
+        Clock::time_point now = Clock::now();
+        phase_ms += msBetween(mark, now);
+        mark = now;
+    };
+
     try {
         Machine machine(req.machine);
         machine.engine().supervise(true);
@@ -410,9 +419,11 @@ FleetServer::runAttempt(Job &job, uint32_t attempt)
         if (req.scheduleSeed != 0)
             machine.engine().perturbSchedule(req.scheduleSeed,
                                              req.scheduleWindow);
+        lap(job.report.buildMs);
         if (!req.prepare)
             throw std::runtime_error("job has no prepare() factory");
         PreparedJob prep = req.prepare(machine, assets_);
+        lap(job.report.prepareMs);
         if (!prep.root && !prep.rawBody)
             throw std::runtime_error(
                 "prepare() returned neither a root task nor a raw body");
@@ -452,9 +463,11 @@ FleetServer::runAttempt(Job &job, uint32_t attempt)
             disarm_deadline();
         }
         machine.setFaultPlan(nullptr);
+        lap(job.report.runMs);
 
         out.cycles = cycles;
         out.digest = prep.digest ? prep.digest(machine) : 0;
+        lap(job.report.digestMs);
         out.status = JobStatus::Ok;
 #if SPMRT_CHECKER_ENABLED
         if (checker != nullptr && !checker->violations().empty()) {

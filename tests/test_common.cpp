@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for src/common: RNGs, bit utilities, logging formatting.
+ * Unit tests for src/common: RNGs, bit utilities, logging formatting,
+ * host-core counting.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/bits.hpp"
+#include "common/host.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 
@@ -62,6 +64,23 @@ TEST(Log, Format)
     EXPECT_EQ(log::format("plain"), "plain");
     EXPECT_EQ(log::format("%d + %d = %d", 1, 2, 3), "1 + 2 = 3");
     EXPECT_EQ(log::format("%s/%x", "core", 0xff), "core/ff");
+}
+
+TEST(Host, QuotaCoresParsesCgroupQuota)
+{
+    EXPECT_EQ(host::quotaCores("max 100000"), 0u);    // v2, unlimited
+    EXPECT_EQ(host::quotaCores("200000 100000"), 2u);
+    EXPECT_EQ(host::quotaCores("150000 100000"), 2u); // rounds up
+    EXPECT_EQ(host::quotaCores("50000 100000\n"), 1u);
+    EXPECT_EQ(host::quotaCores("-1 100000"), 0u);     // v1, unlimited
+    EXPECT_EQ(host::quotaCores(""), 0u);
+    EXPECT_EQ(host::quotaCores(" 100000"), 0u);       // v1, no quota file
+    EXPECT_EQ(host::quotaCores("100000 0"), 0u);
+}
+
+TEST(Host, UsableCoresIsAtLeastOne)
+{
+    EXPECT_GE(host::usableCores(), 1u);
 }
 
 TEST(Rng, XoshiroDeterministic)

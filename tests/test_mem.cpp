@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdint>
+#include <fstream>
 #include <vector>
 
 #include "mem/address_map.hpp"
@@ -362,6 +366,46 @@ TEST(MemorySystem, PokePeekRoundTrip)
     Addr spm = mem.map().spmBase(3) + 8;
     mem.pokeAs<uint32_t>(spm, 0xa5a5a5a5u);
     EXPECT_EQ(mem.peekAs<uint32_t>(spm), 0xa5a5a5a5u);
+}
+
+/** Resident set size of this process in bytes (/proc/self/statm). */
+int64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    int64_t size_pages = 0;
+    int64_t resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    return resident_pages * static_cast<int64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(MemorySystem, PaperDramIsLazilyZeroed)
+{
+    // Building a paper machine must not touch its 256 MiB of DRAM: the
+    // backing store is zeroed on first touch, so resident memory grows
+    // by the machine's own state only. An eager fill grows it by
+    // dramBytes and fails here on any host.
+    const MachineConfig cfg = MachineConfig::paper();
+    ASSERT_EQ(cfg.dramBytes, 256ull * 1024 * 1024);
+    const int64_t before = residentBytes();
+    ASSERT_GT(before, 0);
+
+    const Addr first = AddressMap(cfg).dramBase();
+    const Addr last = static_cast<Addr>(first + cfg.dramBytes - 4);
+    {
+        Machine machine(cfg);
+        EXPECT_LT(residentBytes() - before, 16ll * 1024 * 1024)
+            << "Machine construction touched the DRAM backing store";
+
+        auto &mem = machine.mem();
+        EXPECT_EQ(mem.peekAs<uint32_t>(first), 0u);
+        EXPECT_EQ(mem.peekAs<uint32_t>(last), 0u);
+        mem.pokeAs<uint32_t>(last, 0xdeadbeefu);
+        EXPECT_EQ(mem.peekAs<uint32_t>(last), 0xdeadbeefu);
+    }
+    // A fresh machine never sees a previous machine's bytes.
+    Machine fresh(cfg);
+    EXPECT_EQ(fresh.mem().peekAs<uint32_t>(last), 0u);
 }
 
 TEST(MemorySystem, CountsAccessKinds)

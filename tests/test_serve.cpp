@@ -257,6 +257,34 @@ TEST(Fleet, DuplicatesServedFromCacheByteIdentical)
     EXPECT_EQ(fresh.cycles, first.cycles);
 }
 
+TEST(Fleet, JobReportSplitsWallIntoPhases)
+{
+    FleetConfig cfg;
+    cfg.workers = 1;
+    FleetServer server(cfg);
+    JobReport ran = server.wait(
+        server.submit(makeWorkloadRequest({"fib", 11, 0, 0.0})));
+    ASSERT_EQ(ran.status, JobStatus::Ok) << ran.error;
+    // Host timings: only their structure is deterministic.
+    for (double phase_ms :
+         {ran.buildMs, ran.prepareMs, ran.runMs, ran.digestMs})
+        EXPECT_GE(phase_ms, 0.0);
+
+    JobReport hit = server.wait(
+        server.submit(makeWorkloadRequest({"fib", 11, 0, 0.0})));
+    ASSERT_EQ(hit.status, JobStatus::CacheHit);
+    EXPECT_EQ(hit.buildMs, 0.0);
+    EXPECT_EQ(hit.prepareMs, 0.0);
+    EXPECT_EQ(hit.runMs, 0.0);
+    EXPECT_EQ(hit.digestMs, 0.0);
+
+    std::string json = server.reportJson();
+    for (const char *field :
+         {"\"build_ms\":", "\"prepare_ms\":", "\"run_ms\":",
+          "\"digest_ms\":"})
+        EXPECT_NE(json.find(field), std::string::npos) << field;
+}
+
 TEST(Fleet, DigestsAndCyclesMatchStandaloneRun)
 {
     // Standalone run, exactly as the pre-fleet tests do it.
@@ -570,6 +598,57 @@ TEST(Fleet, DrainShutdownFinishesQueuedWork)
     server.shutdown(true);
     for (FleetServer::JobId id : ids)
         EXPECT_EQ(server.wait(id).status, JobStatus::Ok);
+}
+
+// ---- Paper geometry on several workers -------------------------------------
+
+/** Run @p batch on @p workers fleet workers; reports in submit order. */
+std::vector<JobReport>
+runPaperBatch(const std::vector<FleetWorkload> &batch, uint32_t workers)
+{
+    FleetConfig cfg;
+    cfg.workers = workers;
+    FleetServer server(cfg);
+    std::vector<FleetServer::JobId> ids;
+    for (const FleetWorkload &spec : batch) {
+        JobRequest req = makeWorkloadRequest(spec);
+        req.machine = MachineConfig::paper();
+        ids.push_back(server.submit(std::move(req)));
+    }
+    std::vector<JobReport> reports;
+    for (FleetServer::JobId id : ids)
+        reports.push_back(server.wait(id));
+    return reports;
+}
+
+TEST(Fleet, PaperGeometryMultiWorkerBatchMatchesSerial)
+{
+    // Twelve small sims on the 128-core, 256 MiB paper machine, three of
+    // them duplicates, on four workers at once: every digest and cycle
+    // count must equal a one-worker run of the same batch.
+    const std::vector<FleetWorkload> batch = {
+        {"fib", 10, 0, 0.0},      {"fib", 12, 0, 0.0},
+        {"cilksort", 400, 1, 0.0}, {"uts", 6, 1, 2.2},
+        {"nqueens", 6, 0, 0.0},   {"fib", 12, 0, 0.0},
+        {"cilksort", 400, 2, 0.0}, {"uts", 6, 2, 2.2},
+        {"nqueens", 7, 0, 0.0},   {"cilksort", 400, 1, 0.0},
+        {"fib", 11, 0, 0.0},      {"nqueens", 7, 0, 0.0},
+    };
+    std::vector<JobReport> serial = runPaperBatch(batch, 1);
+    std::vector<JobReport> multi = runPaperBatch(batch, 4);
+    ASSERT_EQ(serial.size(), batch.size());
+    ASSERT_EQ(multi.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+        SCOPED_TRACE(workloadKey(batch[i]));
+        for (const JobReport *r : {&serial[i], &multi[i]})
+            EXPECT_TRUE(r->status == JobStatus::Ok ||
+                        r->status == JobStatus::CacheHit)
+                << jobStatusName(r->status) << ": " << r->error;
+        EXPECT_EQ(multi[i].digest, workloadReference(batch[i]));
+        EXPECT_EQ(multi[i].digest, serial[i].digest);
+        EXPECT_EQ(multi[i].cycles, serial[i].cycles);
+        EXPECT_GT(multi[i].cycles, 0u);
+    }
 }
 
 // ---- Acceptance batch ----------------------------------------------------
