@@ -18,47 +18,10 @@
  * the SPM placement variants add up to ~25% over the naive runtime.
  */
 
-#include "bench/fleet_util.hpp"
 #include "bench/rows.hpp"
-#include "serve/server.hpp"
 
 using namespace spmrt;
 using namespace spmrt::bench;
-
-namespace {
-
-/** One Fig. 9 cell (workload x runtime variant) as a fleet job. */
-serve::JobRequest
-cellRequest(const WorkloadRow &row, const Variant &variant,
-            const MachineConfig &machine_cfg)
-{
-    serve::JobRequest req;
-    req.name = log::format("fig09/%s/%s/%s", row.workload.c_str(),
-                           row.input.c_str(), variant.label);
-    req.cacheKey = req.name;
-    req.machine = machine_cfg;
-    req.runtime = variant.cfg;
-    req.runtime.userSpmReserve = row.spmReserve;
-    req.staticRuntime = variant.isStatic;
-    req.armChecker = false;
-    // Verification folds into the digest contract: 1 = verified.
-    req.expectedDigest = 1;
-    req.hasExpectedDigest = true;
-    auto prepare_row = row.prepare;
-    req.prepare = [prepare_row](Machine &machine, serve::AssetCache &) {
-        auto instance =
-            std::make_shared<RowInstance>(prepare_row(machine));
-        serve::PreparedJob prep;
-        prep.root = [instance](TaskContext &tc) { instance->root(tc); };
-        prep.digest = [instance](Machine &m) {
-            return instance->verify(m) ? 1ull : 0ull;
-        };
-        return prep;
-    };
-    return req;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -104,8 +67,10 @@ main(int argc, char **argv)
         p.workload = row.workload;
         p.input = row.input;
         for (const Variant &variant : variants)
-            p.ids.push_back(
-                server.submit(cellRequest(row, variant, machine_cfg)));
+            p.ids.push_back(server.submit(rowRequest(
+                row, machine_cfg, variant.cfg, variant.isStatic,
+                log::format("fig09/%s/%s/%s", row.workload.c_str(),
+                            row.input.c_str(), variant.label))));
         submitted += p.ids.size();
         pending.push_back(std::move(p));
     }

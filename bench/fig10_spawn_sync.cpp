@@ -15,48 +15,10 @@
  * 1.0.
  */
 
-#include "bench/fleet_util.hpp"
 #include "bench/rows.hpp"
 
 using namespace spmrt;
 using namespace spmrt::bench;
-
-namespace {
-
-/** One Fig. 10 cell (workload x placement variant) as a fleet job. */
-serve::JobRequest
-cellRequest(const WorkloadRow &row, const Variant &variant,
-            const MachineConfig &machine_cfg)
-{
-    serve::JobRequest req;
-    req.name = log::format("fig10/%s/%s/%s", row.workload.c_str(),
-                           row.input.c_str(), variant.label);
-    req.cacheKey = req.name;
-    req.machine = machine_cfg;
-    req.runtime = variant.cfg;
-    req.runtime.userSpmReserve = row.spmReserve;
-    req.armChecker = false;
-    // Verification folds into the digest contract: 1 = verified.
-    req.expectedDigest = 1;
-    req.hasExpectedDigest = true;
-    auto prepare_row = row.prepare;
-    req.prepare = [prepare_row](Machine &machine, serve::AssetCache &) {
-        maybeArmTrace(machine);
-        auto instance =
-            std::make_shared<RowInstance>(prepare_row(machine));
-        serve::PreparedJob prep;
-        prep.root = [instance](TaskContext &tc) { instance->root(tc); };
-        prep.digest = [instance](Machine &m) {
-            bool ok = instance->verify(m);
-            maybeWriteTrace(m);
-            return ok ? 1ull : 0ull;
-        };
-        return prep;
-    };
-    return req;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -89,8 +51,10 @@ main(int argc, char **argv)
         p.workload = row.workload;
         p.input = row.input;
         for (const Variant &variant : variants)
-            p.ids.push_back(
-                server.submit(cellRequest(row, variant, machine_cfg)));
+            p.ids.push_back(server.submit(rowRequest(
+                row, machine_cfg, variant.cfg, variant.isStatic,
+                log::format("fig10/%s/%s/%s", row.workload.c_str(),
+                            row.input.c_str(), variant.label))));
         submitted += p.ids.size();
         pending.push_back(std::move(p));
     }

@@ -25,11 +25,9 @@
  * quick sweep on a 16x16 dual-channel rucheY machine this way).
  */
 
-#include "bench/fleet_util.hpp"
 #include "bench/rows.hpp"
 #include "common/env.hpp"
 #include "obs/heatmap.hpp"
-#include "serve/server.hpp"
 
 using namespace spmrt;
 using namespace spmrt::bench;
@@ -64,36 +62,13 @@ scalingRows()
     return rows;
 }
 
-/** One scaling cell as a supervised fleet job. */
-serve::JobRequest
-cellRequest(const WorkloadRow &row, const MachineConfig &machine_cfg,
-            uint32_t cores)
+/** The work-stealing runtime, both in SPM, on the first @p cores cores. */
+RuntimeConfig
+scalingRuntime(uint32_t cores)
 {
-    serve::JobRequest req;
-    req.name = log::format("fig11/%s/x%u", row.workload.c_str(), cores);
-    req.cacheKey = req.name;
-    req.machine = machine_cfg;
-    req.runtime = RuntimeConfig::full();
-    req.runtime.activeCores = cores;
-    req.runtime.userSpmReserve = row.spmReserve;
-    req.armChecker = false;
-    // Verification folds into the digest contract: 1 = verified.
-    req.expectedDigest = 1;
-    req.hasExpectedDigest = true;
-    auto prepare_row = row.prepare;
-    req.prepare = [prepare_row](Machine &machine, serve::AssetCache &) {
-        maybeArmTrace(machine);
-        auto instance =
-            std::make_shared<RowInstance>(prepare_row(machine));
-        serve::PreparedJob prep;
-        prep.root = [instance](TaskContext &tc) { instance->root(tc); };
-        prep.digest = [instance](Machine &m) {
-            maybeWriteTrace(m);
-            return instance->verify(m) ? 1ull : 0ull;
-        };
-        return prep;
-    };
-    return req;
+    RuntimeConfig cfg = RuntimeConfig::full();
+    cfg.activeCores = cores;
+    return cfg;
 }
 
 /**
@@ -180,8 +155,10 @@ main(int argc, char **argv)
         PendingRow p;
         p.workload = row.workload;
         for (uint32_t cores : core_counts)
-            p.ids.push_back(
-                server.submit(cellRequest(row, machine_cfg, cores)));
+            p.ids.push_back(server.submit(rowRequest(
+                row, machine_cfg, scalingRuntime(cores), false,
+                log::format("fig11/%s/x%u", row.workload.c_str(),
+                            cores))));
         pending.push_back(std::move(p));
     }
 
@@ -248,20 +225,15 @@ main(int argc, char **argv)
                     SatCell cell;
                     cell.workload = row.workload;
                     cell.geometry = cfg.geometry();
+                    const std::string name =
+                        log::format("fig11sat/%s/%s", row.workload.c_str(),
+                                    cell.geometry.c_str());
+                    const RuntimeConfig rt = scalingRuntime(cfg.numCores());
                     serve::JobRequest ws =
-                        cellRequest(row, cfg, cfg.numCores());
-                    ws.name = log::format("fig11sat/%s/%s/ws",
-                                          row.workload.c_str(),
-                                          cell.geometry.c_str());
-                    ws.cacheKey = ws.name;
+                        rowRequest(row, cfg, rt, false, name + "/ws");
                     addHeatmapExport(ws, row.workload);
                     serve::JobRequest st =
-                        cellRequest(row, cfg, cfg.numCores());
-                    st.name = log::format("fig11sat/%s/%s/static",
-                                          row.workload.c_str(),
-                                          cell.geometry.c_str());
-                    st.cacheKey = st.name;
-                    st.staticRuntime = true;
+                        rowRequest(row, cfg, rt, true, name + "/static");
                     cell.ws = server.submit(std::move(ws));
                     cell.st = server.submit(std::move(st));
                     cells.push_back(std::move(cell));

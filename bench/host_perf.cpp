@@ -5,15 +5,18 @@
  * Runs fib/cilksort/uts/nqueens under the work-stealing runtime at 16 and
  * 128 cores, once with the indexed-heap scheduler and once with the
  * linear-scan reference scheduler, and records host wall-clock, context
- * switches, sync points, and simulated cycles. Results go to
- * BENCH_host_perf.json (schema documented in EXPERIMENTS.md) so every PR
- * leaves a recorded perf point; CI's bench-smoke job compares the
- * fast-vs-reference speedup against the committed baseline, which is
- * machine-independent in a way absolute wall-clock is not.
+ * switches, sync points, and simulated cycles. Like every bench it
+ * reports through bench::Report: `--out=BENCH_host_perf.json` writes the
+ * rows as spmrt-bench-v1 JSON (fields in EXPERIMENTS.md E13), which
+ * tools/check_host_perf.py gates against the committed baseline and
+ * trajectory. The gated quantity is the fast-vs-reference speedup, which
+ * is machine-independent in a way absolute wall-clock is not.
  *
- * The two schedulers must agree on results, cycles, and switches — this
- * bench asserts it (cheaply re-checking test_engine_equiv's contract at
- * bench scale) so the recorded speedup is never a speedup into wrongness.
+ * Each workload is built by serve::makeWorkloadRequest(), the same
+ * builder fleet jobs use. Both schedulers must produce the host
+ * reference digest and agree on cycles and switches — this bench asserts
+ * it (cheaply re-checking test_engine_equiv's contract at bench scale)
+ * so the recorded speedup is never a speedup into wrongness.
  *
  * A second series ("throughput") measures batch simulation throughput
  * through the FleetServer: the same job mix on 1 worker vs 4 workers,
@@ -23,8 +26,6 @@
  */
 
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -33,66 +34,20 @@
 #include "runtime/ws_runtime.hpp"
 #include "serve/server.hpp"
 #include "serve/workloads.hpp"
-#include "workloads/cilksort.hpp"
-#include "workloads/fib.hpp"
-#include "workloads/nqueens.hpp"
-#include "workloads/uts.hpp"
 
 namespace spmrt {
 namespace {
 
-using namespace spmrt::workloads;
-
-/** One workload under measurement. */
-struct HostWorkload
+/** The four trajectory workloads (quick mode shrinks them). */
+std::vector<serve::FleetWorkload>
+trajectoryWorkloads()
 {
-    const char *name;
-    std::function<uint64_t(Machine &, WorkStealingRuntime &)> run;
-};
-
-std::vector<HostWorkload>
-makeWorkloads()
-{
-    const int fib_n = bench::scaled(17, 11);
-    const uint32_t sort_n = bench::scaled(6000u, 800u);
-    const uint32_t uts_depth = bench::scaled(9u, 6u);
-    const uint32_t queens_n = bench::scaled(8u, 6u);
-
-    std::vector<HostWorkload> w;
-    w.push_back({"fib", [fib_n](Machine &machine, WorkStealingRuntime &rt) {
-                     Addr out = machine.dramAlloc(8, 8);
-                     rt.run([&](TaskContext &tc) {
-                         fibKernel(tc, fib_n, out);
-                     });
-                     return static_cast<uint64_t>(
-                         machine.mem().peekAs<int64_t>(out));
-                 }});
-    w.push_back({"cilksort",
-                 [sort_n](Machine &machine, WorkStealingRuntime &rt) {
-                     CilkSortData data = cilksortSetup(machine, sort_n, 900);
-                     rt.run([&](TaskContext &tc) {
-                         cilksortKernel(tc, data);
-                     });
-                     return static_cast<uint64_t>(
-                         machine.mem().peekAs<uint32_t>(data.data));
-                 }});
-    w.push_back({"uts",
-                 [uts_depth](Machine &machine, WorkStealingRuntime &rt) {
-                     UtsParams params =
-                         UtsParams::geometric(uts_depth, 2.2, 42);
-                     UtsData data = utsSetup(machine, params);
-                     rt.run([&](TaskContext &tc) { utsKernel(tc, data); });
-                     return utsResult(machine, data);
-                 }});
-    w.push_back({"nqueens",
-                 [queens_n](Machine &machine, WorkStealingRuntime &rt) {
-                     NQueensData data = nqueensSetup(machine, queens_n);
-                     rt.run([&](TaskContext &tc) {
-                         nqueensKernel(tc, data);
-                     });
-                     return nqueensResult(machine, data);
-                 }});
-    return w;
+    return {
+        {"fib", bench::scaled(17u, 11u), 0, 0.0},
+        {"cilksort", bench::scaled(6000u, 800u), 900, 0.0},
+        {"uts", bench::scaled(9u, 6u), 42, 2.2},
+        {"nqueens", bench::scaled(8u, 6u), 0, 0.0},
+    };
 }
 
 /** The two machine scales of the trajectory. */
@@ -123,6 +78,7 @@ struct Sample
 /** One fleet batch at @p workers threads: sims/sec + all-verified. */
 struct FleetSample
 {
+    uint32_t workers = 0;
     double simsPerSec = 0;
     double wallMs = 0;
     uint64_t jobs = 0;
@@ -158,6 +114,7 @@ measureFleet(uint32_t workers)
         }
     }
     FleetSample sample;
+    sample.workers = workers;
     for (serve::FleetServer::JobId id : ids)
         sample.allOk = sample.allOk &&
                        server.wait(id).status == serve::JobStatus::Ok;
@@ -168,8 +125,11 @@ measureFleet(uint32_t workers)
     return sample;
 }
 
+// The runtime is built before prepare() uploads the input, so its
+// allocations come first and the simulated timeline is the one every
+// trajectory point recorded.
 Sample
-measureOnce(const HostWorkload &workload, uint32_t cores, bool reference)
+measureOnce(const serve::JobRequest &req, uint32_t cores, bool reference)
 {
     Machine machine(machineFor(cores));
     machine.engine().setScheduler(reference ? SchedMode::Reference
@@ -178,9 +138,12 @@ measureOnce(const HostWorkload &workload, uint32_t cores, bool reference)
     uint64_t switches0 = machine.engine().switchCount();
     uint64_t syncs0 = machine.engine().syncPointCount();
     WorkStealingRuntime rt(machine, RuntimeConfig::full());
+    serve::AssetCache assets;
     auto start = std::chrono::steady_clock::now();
-    sample.digest = workload.run(machine, rt);
+    serve::PreparedJob prep = req.prepare(machine, assets);
+    rt.run(prep.root);
     auto stop = std::chrono::steady_clock::now();
+    sample.digest = prep.digest(machine);
     sample.wallMs =
         std::chrono::duration<double, std::milli>(stop - start).count();
     sample.simCycles = machine.engine().maxTime();
@@ -196,17 +159,17 @@ measureOnce(const HostWorkload &workload, uint32_t cores, bool reference)
 // count, and switch/syncPoint counts — a rep that diverges is a
 // determinism bug, not noise, and fataling here beats gating on it.
 Sample
-measure(const HostWorkload &workload, uint32_t cores, bool reference)
+measure(const serve::JobRequest &req, uint32_t cores, bool reference)
 {
     constexpr int kReps = 3;
-    Sample best = measureOnce(workload, cores, reference);
+    Sample best = measureOnce(req, cores, reference);
     for (int rep = 1; rep < kReps; ++rep) {
-        Sample s = measureOnce(workload, cores, reference);
+        Sample s = measureOnce(req, cores, reference);
         if (s.digest != best.digest || s.simCycles != best.simCycles ||
             s.switches != best.switches || s.syncPoints != best.syncPoints)
             SPMRT_FATAL("host_perf: %s/%u rep %d diverged from rep 0 "
                         "(digest %llx vs %llx)",
-                        workload.name, cores, rep,
+                        req.name.c_str(), cores, rep,
                         (unsigned long long)s.digest,
                         (unsigned long long)best.digest);
         if (s.wallMs < best.wallMs)
@@ -223,124 +186,71 @@ main(int argc, char **argv)
 {
     using namespace spmrt;
     bench::Report report("host_perf", argc, argv);
-    auto workloads = makeWorkloads();
-    const uint32_t core_counts[] = {16, 128};
     // Recorded in every row: a wall-clock ratio (the fleet series'
     // multi-worker scaling above all) only means anything relative to
     // how many host cores the measuring machine had.
     const uint32_t host_cores = host::usableCores();
 
-    // The trajectory file keeps its own schema (spmrt-host-perf-v1):
-    // CI's bench-smoke gate and the committed baseline both parse it.
-    std::string json = "{\n  \"schema\": \"spmrt-host-perf-v1\",\n";
-    json += log::format("  \"quick\": %s,\n  \"rows\": [\n",
-                        bench::quickMode() ? "true" : "false");
-
-    bool first = true;
-    for (const auto &workload : workloads) {
-        for (uint32_t cores : core_counts) {
-            if (!report.wants(log::format("%s/%u", workload.name, cores)))
+    for (const serve::FleetWorkload &workload : trajectoryWorkloads()) {
+        const serve::JobRequest req = serve::makeWorkloadRequest(workload);
+        for (uint32_t cores : {16u, 128u}) {
+            if (!report.wants(
+                    log::format("%s/%u", workload.kind.c_str(), cores)))
                 continue;
-            Sample fast = measure(workload, cores, false);
-            Sample ref = measure(workload, cores, true);
+            Sample fast = measure(req, cores, false);
+            Sample ref = measure(req, cores, true);
             // The speedup is only meaningful if it is a speedup into the
-            // identical simulation.
-            bool ok = fast.digest == ref.digest &&
+            // identical, correct simulation.
+            bool ok = fast.digest == req.expectedDigest &&
+                      ref.digest == req.expectedDigest &&
                       fast.simCycles == ref.simCycles &&
                       fast.switches == ref.switches;
             if (!ok)
-                report.fail("%s at %u cores: fast and reference "
-                            "schedulers disagree",
-                            workload.name, cores);
-            double speedup = fast.wallMs > 0 ? ref.wallMs / fast.wallMs : 0;
+                report.fail("%s at %u cores: the schedulers disagree or "
+                            "miss the host reference digest",
+                            req.name.c_str(), cores);
             report.row()
-                .cell("workload", workload.name)
+                .cell("workload", workload.kind)
                 .cell("cores", cores)
+                .cell("geometry", machineFor(cores).geometry())
+                .cell("host_cores", host_cores)
                 .cell("wall_ms", fast.wallMs)
-                .cell("wall_ms_ref", ref.wallMs)
-                .cell("speedup", speedup)
+                .cell("wall_ms_reference", ref.wallMs)
+                .cell("speedup",
+                      fast.wallMs > 0 ? ref.wallMs / fast.wallMs : 0.0)
                 .cell("switches", fast.switches)
                 .cell("syncpoints", fast.syncPoints)
-                .cell("ok", ok);
-            if (!first)
-                json += ",\n";
-            first = false;
-            json += log::format(
-                "    {\"workload\": \"%s\", \"cores\": %u, "
-                "\"geometry\": \"%s\", \"host_cores\": %u, "
-                "\"wall_ms\": %.3f, \"wall_ms_reference\": %.3f, "
-                "\"speedup\": %.3f, \"switches\": %llu, "
-                "\"syncpoints\": %llu, \"sim_cycles\": %llu, "
-                "\"equivalent\": %s}",
-                workload.name, cores,
-                machineFor(cores).geometry().c_str(), host_cores,
-                fast.wallMs, ref.wallMs, speedup,
-                static_cast<unsigned long long>(fast.switches),
-                static_cast<unsigned long long>(fast.syncPoints),
-                static_cast<unsigned long long>(fast.simCycles),
-                ok ? "true" : "false");
+                .cell("sim_cycles", fast.simCycles)
+                .cell("equivalent", ok);
         }
     }
+
     // ---- Fleet batch-throughput series ---------------------------------
     if (report.wants("fleet")) {
         FleetSample serial = measureFleet(1);
         FleetSample multi = measureFleet(4);
-        double scaling = serial.simsPerSec > 0
-                             ? multi.simsPerSec / serial.simsPerSec
-                             : 0;
-        report.row()
-            .cell("workload", "fleet")
-            .cell("cores", 1)
-            .cell("wall_ms", serial.wallMs)
-            .cell("speedup", 1.0)
-            .cell("ok", serial.allOk);
-        report.row()
-            .cell("workload", "fleet")
-            .cell("cores", 4)
-            .cell("wall_ms", multi.wallMs)
-            .cell("speedup", scaling)
-            .cell("ok", multi.allOk);
-        if (!serial.allOk || !multi.allOk)
-            report.fail("fleet batch: some jobs did not verify against "
-                        "their standalone references");
-        std::printf("# fleet: %.2f sims/sec serial, %.2f sims/sec on 4 "
-                    "workers (%.2fx)\n",
-                    serial.simsPerSec, multi.simsPerSec, scaling);
-        json += log::format(
-            "%s\n    {\"workload\": \"fleet\", \"cores\": 1, "
-            "\"geometry\": \"%s\", "
-            "\"series\": \"throughput\", \"host_cores\": %u, "
-            "\"wall_ms\": %.3f, "
-            "\"sims_per_sec\": %.3f, \"jobs\": %llu, \"speedup\": 1.0, "
-            "\"equivalent\": %s}",
-            first ? "" : ",", machineFor(16).geometry().c_str(),
-            host_cores, serial.wallMs, serial.simsPerSec,
-            static_cast<unsigned long long>(serial.jobs),
-            serial.allOk ? "true" : "false");
-        first = false;
-        json += log::format(
-            ",\n    {\"workload\": \"fleet\", \"cores\": 4, "
-            "\"geometry\": \"%s\", "
-            "\"series\": \"throughput\", \"host_cores\": %u, "
-            "\"wall_ms\": %.3f, "
-            "\"sims_per_sec\": %.3f, \"jobs\": %llu, \"speedup\": %.3f, "
-            "\"equivalent\": %s}",
-            machineFor(16).geometry().c_str(),
-            host_cores, multi.wallMs, multi.simsPerSec,
-            static_cast<unsigned long long>(multi.jobs), scaling,
-            multi.allOk ? "true" : "false");
-    }
-    json += "\n  ]\n}\n";
-
-    if (!report.listing()) {
-        const char *path = "BENCH_host_perf.json";
-        if (FILE *f = std::fopen(path, "w")) {
-            std::fputs(json.c_str(), f);
-            std::fclose(f);
-            std::printf("wrote %s\n", path);
-        } else {
-            report.fail("cannot write %s", path);
+        for (const FleetSample *sample : {&serial, &multi}) {
+            report.row()
+                .cell("workload", "fleet")
+                .cell("cores", sample->workers)
+                .cell("geometry", machineFor(16).geometry())
+                .cell("series", "throughput")
+                .cell("host_cores", host_cores)
+                .cell("wall_ms", sample->wallMs)
+                .cell("sims_per_sec", sample->simsPerSec)
+                .cell("jobs", sample->jobs)
+                .cell("speedup", serial.simsPerSec > 0
+                                     ? sample->simsPerSec / serial.simsPerSec
+                                     : 0.0)
+                .cell("equivalent", sample->allOk);
+            if (!sample->allOk)
+                report.fail("fleet batch on %u workers: some jobs did not "
+                            "verify against their host references",
+                            sample->workers);
         }
+        report.comment("fleet: %.2f sims/sec serial, %.2f sims/sec on 4 "
+                       "workers",
+                       serial.simsPerSec, multi.simsPerSec);
     }
     return report.finish();
 }

@@ -12,6 +12,9 @@
  *   CilkSort 16K/128K  16K / 64K keys
  *   NQueens 8/9/10   6 / 7 / 8 (same backtracking kernel)
  *   UTS small-t1/t3  geometric / binomial splittable-RNG trees
+ *
+ * rowRequest() turns one (row, machine, runtime) cell into a fleet job;
+ * every bench built on these rows submits its cells through it.
  */
 
 #ifndef SPMRT_BENCH_ROWS_HPP
@@ -19,7 +22,7 @@
 
 #include <memory>
 
-#include "bench/support.hpp"
+#include "bench/fleet_util.hpp"
 #include "workloads/bfs.hpp"
 #include "workloads/cilksort.hpp"
 #include "workloads/mat_transpose.hpp"
@@ -33,13 +36,6 @@
 namespace spmrt {
 namespace bench {
 
-/** Closures bound to one machine's uploaded instance of a row. */
-struct RowInstance
-{
-    std::function<void(TaskContext &)> root;
-    std::function<bool(Machine &)> verify;
-};
-
 /** One (workload, input) row of Table 1. */
 struct WorkloadRow
 {
@@ -47,8 +43,56 @@ struct WorkloadRow
     std::string input;
     bool hasStatic = true; ///< spawn-sync rows have no static baseline
     uint32_t spmReserve = 0;
-    std::function<RowInstance(Machine &)> prepare;
+    /** Upload the input on a fresh machine; digest 1 = output verified. */
+    std::function<serve::PreparedJob(Machine &)> prepare;
 };
+
+/** A row instance: @p root, and a digest of 1 when @p verify passes. */
+inline serve::PreparedJob
+rowJob(std::function<void(TaskContext &)> root,
+       std::function<bool(Machine &)> verify)
+{
+    serve::PreparedJob prep;
+    prep.root = std::move(root);
+    prep.digest = [verify = std::move(verify)](Machine &machine) {
+        return verify(machine) ? 1ull : 0ull;
+    };
+    return prep;
+}
+
+/**
+ * One simulated cell of @p row as a fleet job: the row's input on
+ * @p machine under @p runtime, or under the static fork-join runtime
+ * when @p static_runtime. @p name is also the cache key. Verification
+ * folds into the digest contract (digest 1 = verified), and the first
+ * cell to run captures the SPMRT_TRACE_OUT trace.
+ */
+inline serve::JobRequest
+rowRequest(const WorkloadRow &row, const MachineConfig &machine,
+           const RuntimeConfig &runtime, bool static_runtime,
+           const std::string &name)
+{
+    serve::JobRequest req;
+    req.name = name;
+    req.cacheKey = name;
+    req.machine = machine;
+    req.runtime = runtime;
+    req.runtime.userSpmReserve = row.spmReserve;
+    req.staticRuntime = static_runtime;
+    req.armChecker = false;
+    req.expectedDigest = 1;
+    req.hasExpectedDigest = true;
+    req.prepare = [prepare = row.prepare](Machine &m, serve::AssetCache &) {
+        maybeArmTrace(m);
+        serve::PreparedJob prep = prepare(m);
+        prep.digest = [verify = std::move(prep.digest)](Machine &done) {
+            maybeWriteTrace(done);
+            return verify(done);
+        };
+        return prep;
+    };
+    return req;
+}
 
 /** Graph inputs shared by PageRank and BFS. */
 inline HostGraph
@@ -102,14 +146,11 @@ table1Rows()
                 genDenseRandom(n, n, 100));
             auto b = std::make_shared<HostDense>(
                 genDenseRandom(n, n, 101));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                matmulKernel(tc, *data);
-            };
-            instance.verify = [data, a, b](Machine &machine) {
-                return matmulVerify(machine, *data, *a, *b);
-            };
-            return instance;
+            return rowJob(
+                [data](TaskContext &tc) { matmulKernel(tc, *data); },
+                [data, a, b](Machine &machine) {
+                    return matmulVerify(machine, *data, *a, *b);
+                });
         };
         rows.push_back(std::move(row));
     }
@@ -128,14 +169,11 @@ table1Rows()
                 benchGraph(kind_str, graph_v, graph_d));
             auto data = std::make_shared<PageRankData>(
                 pagerankSetup(machine, *graph));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                pagerankKernel(tc, *data, 1);
-            };
-            instance.verify = [data, graph](Machine &machine) {
-                return pagerankVerify(machine, *data, *graph, 1);
-            };
-            return instance;
+            return rowJob(
+                [data](TaskContext &tc) { pagerankKernel(tc, *data, 1); },
+                [data, graph](Machine &machine) {
+                    return pagerankVerify(machine, *data, *graph, 1);
+                });
         };
         rows.push_back(std::move(row));
     }
@@ -151,14 +189,11 @@ table1Rows()
                 benchGraph(kind_str, graph_v, graph_d));
             auto data = std::make_shared<BfsData>(
                 bfsSetup(machine, *graph, 0));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                bfsKernel(tc, *data);
-            };
-            instance.verify = [data, graph](Machine &machine) {
-                return bfsVerify(machine, *data, *graph);
-            };
-            return instance;
+            return rowJob(
+                [data](TaskContext &tc) { bfsKernel(tc, *data); },
+                [data, graph](Machine &machine) {
+                    return bfsVerify(machine, *data, *graph);
+                });
         };
         rows.push_back(std::move(row));
     }
@@ -178,14 +213,11 @@ table1Rows()
                 spmvSetup(machine, *matrix, 7));
             auto x = std::make_shared<std::vector<float>>(
                 spmvInputVector(machine, *data));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                spmvKernel(tc, *data);
-            };
-            instance.verify = [data, matrix, x](Machine &machine) {
-                return spmvVerify(machine, *data, *matrix, *x);
-            };
-            return instance;
+            return rowJob(
+                [data](TaskContext &tc) { spmvKernel(tc, *data); },
+                [data, matrix, x](Machine &machine) {
+                    return spmvVerify(machine, *data, *matrix, *x);
+                });
         };
         rows.push_back(std::move(row));
     }
@@ -201,14 +233,11 @@ table1Rows()
                 benchMatrix(kind_str, mat_n, mat_nnz));
             auto data = std::make_shared<SpmTransposeData>(
                 spmTransposeSetup(machine, *matrix));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                spmTransposeKernel(tc, *data);
-            };
-            instance.verify = [data, matrix](Machine &machine) {
-                return spmTransposeVerify(machine, *data, *matrix);
-            };
-            return instance;
+            return rowJob(
+                [data](TaskContext &tc) { spmTransposeKernel(tc, *data); },
+                [data, matrix](Machine &machine) {
+                    return spmTransposeVerify(machine, *data, *matrix);
+                });
         };
         rows.push_back(std::move(row));
     }
@@ -227,14 +256,11 @@ table1Rows()
                 genDenseRandom(n, n, 600));
             auto data = std::make_shared<MatTransposeData>(
                 matTransposeSetup(machine, n, 600));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                matTransposeKernel(tc, *data);
-            };
-            instance.verify = [data, input](Machine &machine) {
-                return matTransposeVerify(machine, *data, *input);
-            };
-            return instance;
+            return rowJob(
+                [data](TaskContext &tc) { matTransposeKernel(tc, *data); },
+                [data, input](Machine &machine) {
+                    return matTransposeVerify(machine, *data, *input);
+                });
         };
         rows.push_back(std::move(row));
     }
@@ -254,14 +280,11 @@ table1Rows()
                 cilksortSetup(machine, n, 700));
             auto original = std::make_shared<std::vector<uint32_t>>(
                 downloadArray<uint32_t>(machine, data->data, n));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                cilksortKernel(tc, *data);
-            };
-            instance.verify = [data, original](Machine &machine) {
-                return cilksortVerify(machine, *data, *original);
-            };
-            return instance;
+            return rowJob(
+                [data](TaskContext &tc) { cilksortKernel(tc, *data); },
+                [data, original](Machine &machine) {
+                    return cilksortVerify(machine, *data, *original);
+                });
         };
         rows.push_back(std::move(row));
     }
@@ -277,15 +300,12 @@ table1Rows()
         row.prepare = [n](Machine &machine) {
             auto data = std::make_shared<NQueensData>(
                 nqueensSetup(machine, n));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                nqueensKernel(tc, *data);
-            };
-            instance.verify = [data, n](Machine &machine) {
-                return nqueensResult(machine, *data) ==
-                       nqueensReference(n);
-            };
-            return instance;
+            return rowJob(
+                [data](TaskContext &tc) { nqueensKernel(tc, *data); },
+                [data, n](Machine &machine) {
+                    return nqueensResult(machine, *data) ==
+                           nqueensReference(n);
+                });
         };
         rows.push_back(std::move(row));
     }
@@ -309,14 +329,11 @@ table1Rows()
                 auto data = std::make_shared<UtsData>(
                     utsSetup(machine, tree_params));
                 uint64_t expected = utsReference(tree_params);
-                RowInstance instance;
-                instance.root = [data](TaskContext &tc) {
-                    utsKernel(tc, *data);
-                };
-                instance.verify = [data, expected](Machine &machine) {
-                    return utsResult(machine, *data) == expected;
-                };
-                return instance;
+                return rowJob(
+                    [data](TaskContext &tc) { utsKernel(tc, *data); },
+                    [data, expected](Machine &machine) {
+                        return utsResult(machine, *data) == expected;
+                    });
             };
             rows.push_back(std::move(row));
         }

@@ -19,8 +19,9 @@
  * --filter narrows a run to matching cases.
  *
  * Setting SPMRT_TRACE_OUT=<path> makes the first machine run through
- * runVariant() (or any bench calling maybeArmTrace/maybeWriteTrace)
- * record a Chrome trace-event timeline there, viewable in Perfetto.
+ * rowRequest() (rows.hpp), or any bench calling maybeArmTrace/
+ * maybeWriteTrace, record a Chrome trace-event timeline there, viewable
+ * in Perfetto.
  */
 
 #ifndef SPMRT_BENCH_SUPPORT_HPP
@@ -140,50 +141,6 @@ wsVariants()
         {false, RuntimeConfig::stackOnly(), "stack in SPM"},
         {false, RuntimeConfig::full(), "both SPM"},
     };
-}
-
-/** Result of one timed kernel execution. */
-struct RunResult
-{
-    Cycles cycles = 0;
-    uint64_t instructions = 0;
-    uint64_t steals = 0;
-    uint64_t stealAttempts = 0;
-    bool verified = true;
-};
-
-/**
- * Run @p root under @p variant on a fresh machine built by @p make_machine
- * and input prepared by @p setup; @p verify (optional) checks output.
- * Captures a Chrome trace when SPMRT_TRACE_OUT requests one.
- */
-inline RunResult
-runVariant(const Variant &variant, const MachineConfig &machine_cfg,
-           uint32_t user_spm_reserve,
-           const std::function<void(Machine &)> &setup,
-           const std::function<void(TaskContext &)> &root,
-           const std::function<bool(Machine &)> &verify = nullptr)
-{
-    Machine machine(machine_cfg);
-    maybeArmTrace(machine);
-    setup(machine);
-    RuntimeConfig cfg = variant.cfg;
-    cfg.userSpmReserve = user_spm_reserve;
-    RunResult result;
-    if (variant.isStatic) {
-        StaticRuntime rt(machine, cfg);
-        result.cycles = rt.run(root);
-    } else {
-        WorkStealingRuntime rt(machine, cfg);
-        result.cycles = rt.run(root);
-    }
-    result.instructions = machine.totalInstructions();
-    result.steals = machine.totalStat(&RuntimeStats::stealHits);
-    result.stealAttempts = machine.totalStat(&RuntimeStats::stealAttempts);
-    if (verify)
-        result.verified = verify(machine);
-    maybeWriteTrace(machine);
-    return result;
 }
 
 // ---- Reporting --------------------------------------------------------

@@ -184,6 +184,27 @@ struct RuntimeConfig
             label += "/no-rodup";
         return label;
     }
+
+    /**
+     * Full identity string: name() plus every remaining field. Two
+     * configs share a fleet result-cache entry only when their
+     * specKey()s are equal, so a new field is added here.
+     */
+    std::string
+    specKey() const
+    {
+        auto field = [](const char *key, uint64_t value) {
+            return std::string("/") + key + std::to_string(value);
+        };
+        return name() + field("qpt", queuePointerTable) +
+               field("qb", queueBytes) + field("res", userSpmReserve) +
+               field("ds", dramStackBytes) + field("rs", regSaveWords) +
+               field("bmin", backoffMin) + field("bmax", backoffMax) +
+               field("seed", seed) + field("wdc", watchdogCycles) +
+               field("wds", watchdogSwitches) + field("a", activeCores) +
+               field("vp", static_cast<uint64_t>(victimPolicy)) +
+               field("deal", workDealing);
+    }
 };
 
 } // namespace spmrt

@@ -114,7 +114,7 @@ struct JobLimits
  * Machine-level benches that bypass the task runtimes entirely set
  * `rawBody` instead of `root`: the server then runs every core's body
  * directly via Machine::run (no StaticRuntime/WorkStealingRuntime is
- * constructed, and req.staticRuntime/rootFrameBytes are ignored) and
+ * constructed, and req.staticRuntime is ignored) and
  * reports the engine's final time as the cycle count. Exactly one of
  * `root`/`rawBody` must be set.
  */
@@ -123,7 +123,6 @@ struct PreparedJob
     std::function<void(TaskContext &)> root;
     std::function<void(Core &)> rawBody;
     std::function<uint64_t(Machine &)> digest;
-    uint32_t rootFrameBytes = 128;
 };
 
 /** One batch-simulation request. */

@@ -98,6 +98,21 @@ MachineConfig::geometry() const
         dramChannels, dramBytesPerCycle, spmBytes, spmWindowBytes);
 }
 
+std::string
+MachineConfig::specKey() const
+{
+    return log::format(
+        "%s-spml%llu-link%llu-flit%u-line%u-ways%u-sets%u-llcl%llu-occ%llu"
+        "-dl%llu-dram%llu-stack%u",
+        geometry().c_str(), static_cast<unsigned long long>(spmLatency),
+        static_cast<unsigned long long>(linkLatency), flitBytes,
+        llcLineBytes, llcWays, llcSetsPerBank,
+        static_cast<unsigned long long>(llcLatency),
+        static_cast<unsigned long long>(llcBankOccupancy),
+        static_cast<unsigned long long>(dramLatency),
+        static_cast<unsigned long long>(dramBytes), hostStackBytes);
+}
+
 namespace {
 
 /** Parse "<cols>x<rows>" into @p cfg; false if @p token is not of that

@@ -193,11 +193,19 @@ struct MachineConfig
 
     /**
      * Canonical one-line geometry string, e.g.
-     * "16x8-rx3-ry0-llc32tb-d1x10-spm4096w4096". Filename-safe; used as
-     * the spec component of fleet cache keys, recorded in every
-     * BENCH_host_perf.json row, and tags per-geometry heatmap exports.
+     * "16x8-rx3-ry0-llc32tb-d1x10-spm4096w4096". Filename-safe; a
+     * display string recorded in every host_perf row and tagging
+     * per-geometry heatmap exports (not a full identity: see specKey()).
      */
     std::string geometry() const;
+
+    /**
+     * Full identity string: geometry() plus every remaining field
+     * (latencies, LLC shape, DRAM latency and capacity, host stack).
+     * Two configs share a fleet result-cache entry only when their
+     * specKey()s are equal, so a new field is added here.
+     */
+    std::string specKey() const;
 
     /**
      * Parse a machine spec: either a preset name (paper, big256,

@@ -326,6 +326,63 @@ TEST(Fleet, AssetCacheBuildsSharedInputsOnce)
     EXPECT_GE(server.assets().hits(), 1u);
 }
 
+/**
+ * @p a and @p b share a cacheKey but differ in one config field, so they
+ * are different simulations. Each runs twice (the second time with
+ * bypassCache, which validates against the stored entry): all four must
+ * simulate Ok, the two specs must time differently, and each rerun must
+ * reproduce its own first run.
+ */
+void
+expectDistinctSpecs(JobRequest a, JobRequest b)
+{
+    ASSERT_EQ(a.cacheKey, b.cacheKey);
+    FleetConfig cfg;
+    cfg.workers = 1;
+    FleetServer server(cfg);
+    std::vector<JobReport> reports;
+    for (bool bypass : {false, true}) {
+        for (const JobRequest *req : {&a, &b}) {
+            JobRequest copy = *req;
+            copy.bypassCache = bypass;
+            reports.push_back(server.wait(server.submit(std::move(copy))));
+        }
+    }
+    for (const JobReport &r : reports) {
+        EXPECT_EQ(r.status, JobStatus::Ok)
+            << jobStatusName(r.status) << ": " << r.error;
+        EXPECT_FALSE(r.quarantined);
+        EXPECT_EQ(r.attempts, 1u);
+    }
+    EXPECT_NE(reports[0].cycles, reports[1].cycles)
+        << "the differing field must change the timing";
+    EXPECT_EQ(reports[2].cycles, reports[0].cycles);
+    EXPECT_EQ(reports[3].cycles, reports[1].cycles);
+    FleetServer::Totals totals = server.totals();
+    EXPECT_EQ(totals.ok, 4u);
+    EXPECT_EQ(totals.cacheHits, 0u);
+    EXPECT_EQ(totals.failures, 0u);
+}
+
+TEST(Fleet, SpecKeyCoversVictimPolicy)
+{
+    JobRequest a = makeWorkloadRequest({"fib", 12, 0, 0.0});
+    a.armChecker = false;
+    JobRequest b = a;
+    b.runtime.victimPolicy = VictimPolicy::RoundRobin;
+    expectDistinctSpecs(std::move(a), std::move(b));
+}
+
+TEST(Fleet, SpecKeyCoversLlcSetsPerBank)
+{
+    // 2000 keys plus the merge buffer overflow a 4-set LLC, not 16 sets.
+    JobRequest a = makeWorkloadRequest({"cilksort", 2000, 900, 0.0});
+    a.armChecker = false;
+    JobRequest b = a;
+    b.machine.llcSetsPerBank = 4;
+    expectDistinctSpecs(std::move(a), std::move(b));
+}
+
 // ---- Supervision: hang, budget, deadline --------------------------------
 
 TEST(Fleet, HangRetriedThenQuarantined)

@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Gate host-perf regressions against the committed baseline + trajectory.
 
-Compares a freshly measured BENCH_host_perf.json against
-bench/baseline_host_perf.json row by row (matched on workload + cores +
-machine geometry; reference rows written before the ``geometry`` field
-existed fall back to workload + cores alone), and optionally against
-the *latest point* of the committed perf
-trajectory (repo-root BENCH_host_perf.json, schema
-spmrt-host-perf-trajectory-v1). The gated quantity is the
+Compares a freshly measured host_perf output (``host_perf
+--out=BENCH_host_perf.json``: an spmrt-bench-v1 document whose ``bench``
+is ``host_perf``) against bench/baseline_host_perf.json row by row
+(matched on workload + cores + machine geometry), and optionally against
+the *latest point* of the committed perf trajectory (repo-root
+BENCH_host_perf.json, schema spmrt-host-perf-trajectory-v1). The gated quantity is the
 fast-vs-reference *speedup ratio*, not absolute wall-clock: both
 schedulers run on the same machine in the same process, so their ratio
 is stable across CI runners while raw milliseconds are not. A row fails
@@ -16,7 +15,7 @@ if its measured speedup falls below ``tolerance * reference_speedup``
 itself flagged the row as non-equivalent.
 
 The trajectory file records one point per perf-relevant PR, oldest
-first; each point is a full spmrt-host-perf-v1 row set plus a label.
+first; each point is a full host_perf row set plus a label.
 ``--append <label>`` adds the measured rows as a new trajectory point
 (after the gates pass), creating the file when it does not exist — CI's
 bench-smoke uses this to publish the would-be next point as an
@@ -44,33 +43,19 @@ import os
 import sys
 
 TRAJECTORY_SCHEMA = "spmrt-host-perf-trajectory-v1"
-POINT_SCHEMA = "spmrt-host-perf-v1"
+MEASUREMENT_SCHEMA = "spmrt-bench-v1"
+MEASUREMENT_BENCH = "host_perf"
 
 
 def row_key(r):
     """Identity of one measurement row. The machine geometry string is
     part of it: the same workload at the same simulated core count on a
-    different machine shape is a different measurement. Rows written
-    before the geometry field existed key under geometry=None."""
+    different machine shape is a different measurement."""
     return (r["workload"], r["cores"], r.get("geometry"))
 
 
 def key_rows(rows):
     return {row_key(r): r for r in rows}
-
-
-def find_row(measured, key):
-    """Look up a measured row for a reference key. A legacy reference
-    row (no geometry) matches any measured geometry for its workload and
-    core count, so old baselines keep gating new measurements."""
-    row = measured.get(key)
-    if row is not None:
-        return row
-    if key[2] is None:
-        for k, r in measured.items():
-            if k[0] == key[0] and k[1] == key[1]:
-                return r
-    return None
 
 
 def load_json(path, what):
@@ -90,18 +75,21 @@ def load_json(path, what):
 
 
 def load_measurement(path):
-    """Load a single spmrt-host-perf-v1 measurement."""
+    """Load a single host_perf measurement (spmrt-bench-v1)."""
     doc = load_json(path, "measurement")
-    if doc.get("schema") != POINT_SCHEMA:
-        sys.exit(f"{path}: unexpected schema {doc.get('schema')!r} "
-                 f"(expected {POINT_SCHEMA!r})")
+    if (doc.get("schema") != MEASUREMENT_SCHEMA or
+            doc.get("bench") != MEASUREMENT_BENCH):
+        sys.exit(f"{path}: unexpected schema {doc.get('schema')!r} / "
+                 f"bench {doc.get('bench')!r} (expected "
+                 f"{MEASUREMENT_SCHEMA!r} / {MEASUREMENT_BENCH!r})")
     rows = doc.get("rows")
     if not isinstance(rows, list) or not rows:
         sys.exit(f"{path}: measurement has no rows — the bench produced "
                  "an empty result (check its own output for failures)")
     for row in rows:
-        if "workload" not in row or "cores" not in row:
-            sys.exit(f"{path}: row missing workload/cores: {row!r}")
+        if any(k not in row for k in ("workload", "cores", "geometry")):
+            sys.exit(f"{path}: row missing workload/cores/geometry: "
+                     f"{row!r}")
         if "speedup" not in row:
             sys.exit(f"{path}: row {row['workload']}/{row['cores']} has "
                      "no 'speedup' field")
@@ -158,7 +146,7 @@ def check(measured, reference, reference_name, tolerance,
     for key, base in sorted(reference.items(),
                             key=lambda kv: (kv[0][0], kv[0][1],
                                             kv[0][2] or "")):
-        row = find_row(measured, key)
+        row = measured.get(key)
         if row is None:
             failures.append(f"{describe_row(key, base)}: missing from "
                             "measured results — the leg did not run or "
@@ -205,21 +193,18 @@ def append_point(trajectory_path, measured_doc, label):
 def self_test():
     """Unit-style checks of the gating logic itself (run from ctest).
     Synthetic rows, no files: every branch the CI gate depends on —
-    keying, legacy-geometry fallback, per-series tolerances, and the
-    failure messages naming the series and leg."""
+    keying, per-series tolerances, and the failure messages naming the
+    series and leg."""
     def expect(cond, what):
         if not cond:
             sys.exit(f"check_host_perf.py --self-test FAILED: {what}")
 
-    # Row keying and the legacy-geometry fallback.
+    # Row keying.
     new = {"workload": "fib", "cores": 128, "geometry": "16x8",
            "speedup": 2.0, "equivalent": True}
     expect(row_key(new) == ("fib", 128, "16x8"), "row_key with geometry")
-    measured = key_rows([new])
-    expect(find_row(measured, ("fib", 128, None)) is new,
-           "legacy baseline row must match any measured geometry")
-    expect(find_row(measured, ("fib", 64, None)) is None,
-           "legacy fallback must still match workload and cores")
+    expect(("fib", 128, "8x8") not in key_rows([new]),
+           "the same workload on another geometry is another row")
 
     # Per-series tolerances.
     expect(row_tolerance({}, 0.75, 0.5) == 0.75, "main tolerance")
