@@ -167,7 +167,7 @@ BENCHMARK(BM_RangeAllocator);
  * advances by ~1 cycle and hits a sync point, so nearly every sync point
  * is a yield plus a scheduler pick. Args: {reference?, cores}. Comparing
  * the reference rows against the fast rows isolates the O(N) scan vs.
- * O(log N) indexed-heap cost per switch.
+ * O(log N) winner-tree replay cost per switch.
  */
 void
 BM_EngineScheduleSwitch(benchmark::State &state)

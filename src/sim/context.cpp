@@ -3,20 +3,13 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <cstring>
-
 #include "common/log.hpp"
 
-#if !defined(__x86_64__)
-#include <ucontext.h>
-#endif
-
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define SPMRT_ASAN 1
-#endif
-#elif defined(__SANITIZE_ADDRESS__)
-#define SPMRT_ASAN 1
+#if defined(SPMRT_ASAN)
+#include <pthread.h>
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#include <sanitizer/lsan_interface.h>
 #endif
 
 #if defined(SPMRT_TSAN)
@@ -43,65 +36,112 @@ scaledStackBytes(size_t stack_bytes)
 #endif
 }
 
-} // namespace
+/** Entry function and argument, stored at the top of a fresh stack. */
+struct StartFrame
+{
+    void (*entry)(void *);
+    void *arg;
+};
 
-#if defined(__x86_64__)
+#if defined(SPMRT_ASAN)
+/** The calling thread's own stack, as [@p lo, @p lo + @p bytes). */
+void
+threadStackBounds(const void *&lo, size_t &bytes)
+{
+    pthread_attr_t attr;
+    void *addr = nullptr;
+    size_t size = 0;
+    if (::pthread_getattr_np(::pthread_self(), &attr) != 0)
+        SPMRT_FATAL("cannot read the host thread's stack bounds");
+    ::pthread_attr_getstack(&attr, &addr, &size);
+    ::pthread_attr_destroy(&attr);
+    lo = addr;
+    bytes = size;
+}
+#endif
+
+} // namespace
 
 extern "C" void spmrt_ctx_swap(void **save_sp, void *restore_sp);
 extern "C" void spmrt_ctx_trampoline();
-
-GuestContext::GuestContext() = default;
 
 GuestContext::~GuestContext()
 {
 #if defined(SPMRT_TSAN)
     // Only init()'d contexts own their fiber; a root context's handle
     // is the host thread's implicit fiber, which TSan owns.
-    if (stackBase_ != nullptr && tsanFiber_ != nullptr)
+    if (stackLo_ != nullptr && tsanFiber_ != nullptr)
         __tsan_destroy_fiber(tsanFiber_);
 #endif
-    if (stackBase_ != nullptr)
-        ::munmap(stackBase_, mapBytes_);
 }
 
 void
-GuestContext::init(size_t stack_bytes, void (*entry)(void *), void *arg)
+GuestContext::init(void *stack_lo, size_t stack_bytes, void (*entry)(void *),
+                   void *arg)
 {
-    SPMRT_ASSERT(stackBase_ == nullptr, "context initialized twice");
+    SPMRT_ASSERT(stackLo_ == nullptr, "context initialized twice");
+    stackLo_ = stack_lo;
+#if defined(SPMRT_ASAN)
+    asanLo_ = stack_lo;
+    asanBytes_ = stack_bytes;
+#endif
 #if defined(SPMRT_TSAN)
     tsanFiber_ = __tsan_create_fiber(0);
 #endif
 
-    const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-    stack_bytes = scaledStackBytes(stack_bytes);
-    mapBytes_ = ((stack_bytes + page - 1) / page) * page + page;
-    void *base = ::mmap(nullptr, mapBytes_, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (base == MAP_FAILED)
-        SPMRT_FATAL("cannot mmap %zu-byte coroutine stack", mapBytes_);
-    // Guard page at the low (overflow) end of the downward-growing stack.
-    if (::mprotect(base, page, PROT_NONE) != 0)
-        SPMRT_FATAL("cannot protect coroutine guard page");
-    stackBase_ = base;
-
     // Build the initial frame that spmrt_ctx_swap will "return" into.
     // Memory layout ascending from the saved sp:
-    //   [6 callee-saved slots][trampoline][arg][entry][padding...]
+    //   [6 callee-saved slots][trampoline][frame][start][padding x2]
+    //   [frame: StartFrame{entry, arg}]
     // The saved sp must be ~= 8 (mod 16) so that the trampoline's call
     // site sees a 16-byte-aligned stack (see context_x86_64.S).
-    auto top = reinterpret_cast<uintptr_t>(base) + mapBytes_;
+    auto top = reinterpret_cast<uintptr_t>(stack_lo) + stack_bytes;
     top &= ~uintptr_t(15);
-    auto *slot = reinterpret_cast<uint64_t *>(top);
+    auto *frame = reinterpret_cast<StartFrame *>(top) - 1;
+    frame->entry = entry;
+    frame->arg = arg;
+    auto *slot = reinterpret_cast<uint64_t *>(frame);
     *--slot = 0; // padding
     *--slot = 0; // padding
-    *--slot = reinterpret_cast<uint64_t>(entry);
-    *--slot = reinterpret_cast<uint64_t>(arg);
+    *--slot = reinterpret_cast<uint64_t>(&GuestContext::start);
+    *--slot = reinterpret_cast<uint64_t>(frame);
     *--slot = reinterpret_cast<uint64_t>(&spmrt_ctx_trampoline);
     for (int i = 0; i < 6; ++i)
         *--slot = 0; // rbp, rbx, r12..r15
     sp_ = slot;
     SPMRT_ASSERT((reinterpret_cast<uintptr_t>(sp_) & 15) == 8,
                  "bad initial coroutine stack alignment");
+}
+
+void
+GuestContext::start(void *frame)
+{
+#if defined(SPMRT_ASAN)
+    // The switch into a fresh stack ends here, not in switchTo().
+    __sanitizer_finish_switch_fiber(nullptr, nullptr, nullptr);
+#endif
+    const StartFrame *start = static_cast<const StartFrame *>(frame);
+    start->entry(start->arg);
+    SPMRT_PANIC("coroutine entry returned");
+}
+
+#if defined(SPMRT_ASAN)
+// The frames carry ASan redzones; reading them must not trip ASan.
+__attribute__((no_sanitize_address))
+#endif
+void
+GuestContext::abandon() const
+{
+#if defined(SPMRT_ASAN)
+    // Every heap object a word of the live frames points at (the
+    // callee-saved registers are spilled at sp_) becomes a LeakSanitizer
+    // root, so what those objects own is not reported either.
+    auto *word = static_cast<void *const *>(sp_);
+    auto *top = reinterpret_cast<void *const *>(
+        static_cast<const char *>(asanLo_) + asanBytes_);
+    for (; word < top; ++word)
+        __lsan_ignore_object(*word);
+#endif
 }
 
 void
@@ -118,96 +158,61 @@ GuestContext::switchTo(GuestContext &from, GuestContext &to)
                  "switch into a context TSan has never seen");
     __tsan_switch_to_fiber(to.tsanFiber_, 0);
 #endif
+#if defined(SPMRT_ASAN)
+    if (from.asanLo_ == nullptr)
+        threadStackBounds(from.asanLo_, from.asanBytes_);
+    SPMRT_ASSERT(to.asanLo_ != nullptr,
+                 "switch into a context ASan has never seen");
+    void *fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&fake_stack, to.asanLo_, to.asanBytes_);
+#endif
     spmrt_ctx_swap(&from.sp_, to.sp_);
-}
-
-#else // !__x86_64__: portable ucontext fallback
-
-namespace {
-
-// makecontext() can only pass int arguments portably; split each pointer
-// into two 32-bit halves and reassemble them in the trampoline.
-void
-uctxTrampoline(unsigned fn_hi, unsigned fn_lo, unsigned arg_hi,
-               unsigned arg_lo)
-{
-    auto join = [](unsigned hi, unsigned lo) {
-        return (static_cast<uintptr_t>(hi) << 32) | lo;
-    };
-    auto fn = reinterpret_cast<void (*)(void *)>(join(fn_hi, fn_lo));
-    auto *arg = reinterpret_cast<void *>(join(arg_hi, arg_lo));
-    fn(arg);
-    SPMRT_PANIC("coroutine entry returned");
-}
-
-ucontext_t *
-asUcontext(void *&storage)
-{
-    if (storage == nullptr)
-        storage = new ucontext_t();
-    return static_cast<ucontext_t *>(storage);
-}
-
-} // namespace
-
-GuestContext::GuestContext() = default;
-
-GuestContext::~GuestContext()
-{
-#if defined(SPMRT_TSAN)
-    if (stackBase_ != nullptr && tsanFiber_ != nullptr)
-        __tsan_destroy_fiber(tsanFiber_);
+#if defined(SPMRT_ASAN)
+    __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
 #endif
-    delete static_cast<ucontext_t *>(ucontextStorage_);
-    if (stackBase_ != nullptr)
-        ::munmap(stackBase_, mapBytes_);
 }
 
-void
-GuestContext::init(size_t stack_bytes, void (*entry)(void *), void *arg)
+CoroutineStacks::CoroutineStacks(uint32_t count, size_t stack_bytes)
+    : count_(count),
+      pageBytes_(static_cast<size_t>(::sysconf(_SC_PAGESIZE)))
 {
-#if defined(SPMRT_TSAN)
-    tsanFiber_ = __tsan_create_fiber(0);
-#endif
-    const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
     stack_bytes = scaledStackBytes(stack_bytes);
-    mapBytes_ = ((stack_bytes + page - 1) / page) * page + page;
-    void *base = ::mmap(nullptr, mapBytes_, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (base == MAP_FAILED)
-        SPMRT_FATAL("cannot mmap %zu-byte coroutine stack", mapBytes_);
-    if (::mprotect(base, page, PROT_NONE) != 0)
-        SPMRT_FATAL("cannot protect coroutine guard page");
-    stackBase_ = base;
-
-    auto *ctx = asUcontext(ucontextStorage_);
-    ::getcontext(ctx);
-    ctx->uc_stack.ss_sp = static_cast<char *>(base) + page;
-    ctx->uc_stack.ss_size = mapBytes_ - page;
-    ctx->uc_link = nullptr;
-    auto fn_bits = reinterpret_cast<uintptr_t>(entry);
-    auto arg_bits = reinterpret_cast<uintptr_t>(arg);
-    ::makecontext(ctx, reinterpret_cast<void (*)()>(&uctxTrampoline), 4,
-                  static_cast<unsigned>(fn_bits >> 32),
-                  static_cast<unsigned>(fn_bits),
-                  static_cast<unsigned>(arg_bits >> 32),
-                  static_cast<unsigned>(arg_bits));
-    sp_ = nullptr;
+    slotBytes_ =
+        (stack_bytes + pageBytes_ - 1) / pageBytes_ * pageBytes_ + pageBytes_;
 }
 
-void
-GuestContext::switchTo(GuestContext &from, GuestContext &to)
+CoroutineStacks::~CoroutineStacks()
 {
-#if defined(SPMRT_TSAN)
-    from.tsanFiber_ = __tsan_get_current_fiber();
-    SPMRT_ASSERT(to.tsanFiber_ != nullptr,
-                 "switch into a context TSan has never seen");
-    __tsan_switch_to_fiber(to.tsanFiber_, 0);
+    if (base_ == nullptr)
+        return;
+    const size_t bytes = slotBytes_ * count_;
+#if defined(SPMRT_ASAN)
+    // A supervised abort leaves guest frames suspended on these stacks,
+    // and their redzone poison outlives the munmap in ASan's shadow. The
+    // next mapping at the same addresses (a retry's Machine) would
+    // inherit it, so clear it first.
+    __asan_unpoison_memory_region(base_, bytes);
 #endif
-    ::swapcontext(asUcontext(from.ucontextStorage_),
-                  asUcontext(to.ucontextStorage_));
+    ::munmap(base_, bytes);
 }
 
-#endif // __x86_64__
+void *
+CoroutineStacks::guardedStack(uint32_t i)
+{
+    SPMRT_ASSERT(i < count_, "coroutine stack %u out of range", i);
+    if (base_ == nullptr) {
+        const size_t bytes = slotBytes_ * count_;
+        void *base = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                            MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (base == MAP_FAILED)
+            SPMRT_FATAL("cannot mmap %zu bytes of coroutine stacks", bytes);
+        base_ = base;
+    }
+    // Guard page at the low (overflow) end of the downward-growing stack.
+    char *slot = static_cast<char *>(base_) + size_t(i) * slotBytes_;
+    if (::mprotect(slot, pageBytes_, PROT_NONE) != 0)
+        SPMRT_FATAL("cannot protect coroutine guard page");
+    return slot + pageBytes_;
+}
 
 } // namespace spmrt

@@ -26,7 +26,7 @@ parseSchedMode(const char *text, SchedMode &out, std::string &error)
 namespace {
 
 /**
- * Default scheduling mode: the fast indexed-heap scheduler, unless the
+ * Default scheduling mode: the fast winner-tree scheduler, unless the
  * SPMRT_ENGINE_SCHED environment variable names another. A typo'd name
  * is a hard error, not a silent fallback (tests/test_errors.cpp).
  */
@@ -46,20 +46,32 @@ defaultSchedMode()
 } // namespace
 
 Engine::Engine(uint32_t num_cores, size_t host_stack_bytes)
-    : stackBytes_(host_stack_bytes), mode_(defaultSchedMode())
+    : stacks_(num_cores, host_stack_bytes), mode_(defaultSchedMode())
 {
     numCores_ = num_cores;
     slots_ = std::make_unique<Slot[]>(num_cores);
     for (uint32_t i = 0; i < num_cores; ++i)
         slots_[i].id = i;
-    // Reserve enough id bits in the packed heap key for every core id.
+    // Reserve enough id bits in the packed key for every core id; the
+    // ready tree has one leaf per id value.
     idShift_ = 1;
     while ((1u << idShift_) < num_cores)
         ++idShift_;
-    idMask_ = (HeapKey(1) << idShift_) - 1;
-    maxPackTime_ = ~HeapKey(0) >> idShift_;
-    heap_.reserve(num_cores);
-    heapPos_.assign(num_cores, kNoHeapPos);
+    idMask_ = (PackedKey(1) << idShift_) - 1;
+    maxPackTime_ = kAbsent >> idShift_;
+    leafBase_ = 1u << idShift_;
+    tree_.assign(2 * size_t(leafBase_), kAbsent);
+}
+
+Engine::~Engine()
+{
+    // A supervised abort leaves guests suspended mid-body for good (see
+    // supervise()); their frames go with the stacks, unwound by nobody.
+    for (uint32_t i = 0; i < numCores_; ++i) {
+        const Slot &slot = slots_[i];
+        if (slot.ctx.valid() && slot.hasBody && !slot.finished)
+            slot.ctx.abandon();
+    }
 }
 
 void
@@ -95,7 +107,7 @@ Engine::finishCurrent(Slot &slot)
         GuestContext::switchTo(slot.ctx, schedCtx_);
         return; // resumed by a later run()
     }
-    heapErase(slot.id);
+    readyErase(slot.id);
     if (live_ == 0) {
         // Last core out ends the run: hand control back to run().
         GuestContext::switchTo(slot.ctx, schedCtx_);
@@ -119,7 +131,8 @@ Engine::run()
         slot.wakePending = false;
         slot.wakeTime = 0;
         if (!slot.ctx.valid())
-            slot.ctx.init(stackBytes_, &Engine::entryThunk, this);
+            slot.ctx.init(stacks_.guardedStack(i), stacks_.usableBytes(),
+                          &Engine::entryThunk, this);
         ++live_;
     }
 
@@ -131,15 +144,16 @@ Engine::run()
         return;
     }
 
-    // Build the ready-heap over runnable cores. Insertion in id order
-    // keeps the build deterministic (the key already embeds the id
-    // tie-break, so any insertion order yields the same argmin).
-    heap_.clear();
-    std::fill(heapPos_.begin(), heapPos_.end(), kNoHeapPos);
-    for (uint32_t i = 0; i < numCores_; ++i) {
-        if (!slots_[i].finished && !slots_[i].blocked)
-            heapInsert(i, slots_[i].time);
+    // Build the ready tree over runnable cores: fill the leaves, then
+    // every internal node bottom-up.
+    for (uint32_t i = 0; i < leafBase_; ++i) {
+        const bool runnable =
+            i < numCores_ && !slots_[i].finished && !slots_[i].blocked;
+        tree_[leafBase_ + i] = runnable ? packKey(i, slots_[i].time)
+                                        : kAbsent;
     }
+    for (uint32_t n = leafBase_ - 1; n >= 1; --n)
+        tree_[n] = std::min(tree_[2 * n], tree_[2 * n + 1]);
 
     // Dispatch chains run guest-to-guest; control only returns here once
     // the last live core finishes or a supervised interrupt unwinds a
@@ -161,7 +175,7 @@ void
 Engine::runReference()
 {
     // The original linear-scan scheduler, kept as the equivalence oracle
-    // for the indexed-heap fast path (now including the remote-op commit
+    // for the winner-tree fast path (now including the remote-op commit
     // queue: ops commit exactly when their key is globally next).
     while (live_ > 0) {
         // Deterministic argmin over unfinished, unblocked cores; ties
@@ -217,9 +231,9 @@ Engine::runReference()
 Engine::Slot *
 Engine::pickNext()
 {
-    SPMRT_ASSERT(!heap_.empty(), "deadlock: all %u live cores are blocked",
-                 live_);
-    CoreId next_id = keyId(heap_[0]);
+    SPMRT_ASSERT(tree_[1] != kAbsent,
+                 "deadlock: all %u live cores are blocked", live_);
+    CoreId next_id = keyId(tree_[1]);
     if (schedPerturb_) {
         collectWindowCandidates();
         if (candidateIds_.size() > 1)
@@ -234,10 +248,12 @@ Engine::dispatchFrom(GuestContext &from)
 {
     // Commit every remote op whose key precedes the earliest gate (ops
     // precede gates at equal times). Executions can wake blocked cores,
-    // which reshapes the heap, so re-check the root each round; when all
-    // live cores are blocked the queue is the only way forward.
-    while (!events_.empty() &&
-           (heap_.empty() || cachedEventMin_ <= keyTime(heap_[0])))
+    // which changes the root, so re-check it each round. The sentinels
+    // order themselves: an empty queue (kNoOtherCore) exceeds every
+    // root time, and an empty tree's root time (keyTime(kAbsent)) exceeds
+    // every commit time, so when all live cores are blocked the queue is
+    // the only way forward.
+    while (cachedEventMin_ <= keyTime(tree_[1]))
         executeOneEvent();
     Slot *next = pickNext();
     if (interruptDue(next->time) && checkInterrupts(next->time)) {
@@ -249,7 +265,7 @@ Engine::dispatchFrom(GuestContext &from)
             GuestContext::switchTo(from, schedCtx_);
         return;
     }
-    cachedOtherMin_ = heapMinTimeExcluding(next->id);
+    cachedOtherMin_ = minReadyTimeExcluding(next->id);
     // Mirrors the reference scheduler: one event per dispatch, so a trace
     // taken under either scheduler shows the same timeline.
     if (obs::Tracer *t = tracer())
@@ -288,7 +304,7 @@ Engine::syncPoint(CoreId id)
                 return;
             }
             foldHighWater(slot.time);
-            heapIncreaseKey(id, slot.time);
+            readyUpdate(id, slot.time);
             dispatchFrom(slot.ctx);
         }
     }
@@ -322,7 +338,7 @@ Engine::yield(CoreId id)
         return;
     }
     foldHighWater(slot.time);
-    heapIncreaseKey(id, slot.time);
+    readyUpdate(id, slot.time);
     dispatchFrom(slot.ctx);
 }
 
@@ -346,7 +362,7 @@ Engine::block(CoreId id, ParkKind kind)
         GuestContext::switchTo(slot.ctx, schedCtx_);
     } else {
         foldHighWater(slot.time);
-        heapErase(id);
+        readyErase(id);
         dispatchFrom(slot.ctx);
     }
     SPMRT_ASSERT(!slot.blocked, "blocked core %u resumed while parked", id);
@@ -371,7 +387,7 @@ Engine::unblock(CoreId id, Cycles t)
         slot.time = t;
     foldHighWater(slot.time);
     if (!reference()) {
-        heapInsert(id, slot.time);
+        readyInsert(id, slot.time);
         // The woken core joins the running core's "others"; min-fold
         // keeps the syncPoint cache exact.
         if (running_ != kInvalidCore && slot.time < cachedOtherMin_)
@@ -391,7 +407,7 @@ Engine::commitWake(CoreId id, Cycles t)
         slot.time = t;
     foldHighWater(slot.time);
     if (!reference()) {
-        heapInsert(id, slot.time);
+        readyInsert(id, slot.time);
         if (running_ != kInvalidCore && slot.time < cachedOtherMin_)
             cachedOtherMin_ = slot.time;
     }
@@ -403,10 +419,10 @@ Engine::foreignClockChange(Slot &slot)
     foldHighWater(slot.time);
     if (reference())
         return;
-    if (heapPos_[slot.id] != kNoHeapPos)
-        heapIncreaseKey(slot.id, slot.time);
+    if (ready(slot.id))
+        readyUpdate(slot.id, slot.time);
     if (running_ != kInvalidCore)
-        cachedOtherMin_ = heapMinTimeExcluding(running_);
+        cachedOtherMin_ = minReadyTimeExcluding(running_);
 }
 
 // ---- Remote-op commit queue ----------------------------------------------
@@ -414,9 +430,9 @@ Engine::foreignClockChange(Slot &slot)
 void
 Engine::scheduleRemoteOp(CoreId issuer, Cycles commit)
 {
-    events_.push_back(heapKey(issuer, commit));
+    events_.push_back(packKey(issuer, commit));
     std::push_heap(events_.begin(), events_.end(),
-                   std::greater<HeapKey>());
+                   std::greater<PackedKey>());
     cachedEventMin_ = keyTime(events_[0]);
 }
 
@@ -424,7 +440,8 @@ void
 Engine::executeOneEvent()
 {
     SPMRT_ASSERT(!events_.empty(), "no pending remote op to execute");
-    std::pop_heap(events_.begin(), events_.end(), std::greater<HeapKey>());
+    std::pop_heap(events_.begin(), events_.end(),
+                  std::greater<PackedKey>());
     const CoreId issuer = keyId(events_.back());
     events_.pop_back();
     SPMRT_ASSERT(issuer < opSinks_.size() && opSinks_[issuer] != nullptr,
@@ -435,9 +452,9 @@ Engine::executeOneEvent()
     // noticed them.
     const Cycles next = opSinks_[issuer]->executeHeadOp();
     if (next != kNoPendingOp) {
-        events_.push_back(heapKey(issuer, next));
+        events_.push_back(packKey(issuer, next));
         std::push_heap(events_.begin(), events_.end(),
-                       std::greater<HeapKey>());
+                       std::greater<PackedKey>());
     }
     cachedEventMin_ = events_.empty() ? kNoOtherCore : keyTime(events_[0]);
 }
@@ -463,136 +480,82 @@ Engine::minOtherTime(CoreId self) const
     return min_time;
 }
 
-// ---- Indexed 4-ary min-heap ---------------------------------------------
+// ---- Winner tree over runnable cores -------------------------------------
 
 void
-Engine::heapSiftUp(uint32_t pos)
+Engine::treeSet(CoreId id, PackedKey key)
 {
-    HeapKey entry = heap_[pos];
-    while (pos > 0) {
-        uint32_t parent = (pos - 1) / 4;
-        if (entry >= heap_[parent])
-            break;
-        heap_[pos] = heap_[parent];
-        heapPos_[keyId(heap_[pos])] = pos;
-        pos = parent;
-    }
-    heap_[pos] = entry;
-    heapPos_[keyId(entry)] = pos;
-}
-
-void
-Engine::heapSiftDown(uint32_t pos)
-{
-    HeapKey entry = heap_[pos];
-    const uint32_t size = static_cast<uint32_t>(heap_.size());
-    while (true) {
-        uint32_t first = pos * 4 + 1;
-        if (first >= size)
-            break;
-        uint32_t last = std::min(first + 4, size);
-        uint32_t best = first;
-        HeapKey best_key = heap_[first];
-        for (uint32_t child = first + 1; child < last; ++child) {
-            // Conditional-select form: child order is effectively
-            // random, so a branch here mispredicts ~half the time; the
-            // packed single-word keys make cmov selection cheap.
-            HeapKey key = heap_[child];
-            bool less = key < best_key;
-            best = less ? child : best;
-            best_key = less ? key : best_key;
-        }
-        if (best_key >= entry)
-            break;
-        heap_[pos] = best_key;
-        heapPos_[keyId(best_key)] = pos;
-        pos = best;
-    }
-    heap_[pos] = entry;
-    heapPos_[keyId(entry)] = pos;
-}
-
-void
-Engine::heapInsert(CoreId id, Cycles t)
-{
-    SPMRT_ASSERT(heapPos_[id] == kNoHeapPos,
-                 "core %u already in the ready heap", id);
-    heap_.push_back(heapKey(id, t));
-    heapSiftUp(static_cast<uint32_t>(heap_.size()) - 1);
-}
-
-void
-Engine::heapErase(CoreId id)
-{
-    uint32_t pos = heapPos_[id];
-    SPMRT_ASSERT(pos != kNoHeapPos, "core %u not in the ready heap", id);
-    heapPos_[id] = kNoHeapPos;
-    uint32_t last = static_cast<uint32_t>(heap_.size()) - 1;
-    HeapKey moved = heap_[last];
-    heap_.pop_back();
-    if (pos != last) {
-        // The displaced entry may need to move either way.
-        heap_[pos] = moved;
-        heapPos_[keyId(moved)] = pos;
-        heapSiftDown(pos);
-        if (heapPos_[keyId(moved)] == pos)
-            heapSiftUp(pos);
+    uint32_t pos = leafBase_ + id;
+    tree_[pos] = key;
+    while (pos > 1) {
+        // Conditional-select form: which side wins is effectively
+        // random, so a branch here would mispredict often.
+        const PackedKey sibling = tree_[pos ^ 1];
+        key = sibling < key ? sibling : key;
+        pos >>= 1;
+        tree_[pos] = key;
     }
 }
 
 void
-Engine::heapIncreaseKey(CoreId id, Cycles t)
+Engine::readyInsert(CoreId id, Cycles t)
 {
-    uint32_t pos = heapPos_[id];
-    SPMRT_ASSERT(pos != kNoHeapPos, "core %u not in the ready heap", id);
-    heap_[pos] = heapKey(id, t);
-    heapSiftDown(pos); // clocks only move forward
+    SPMRT_ASSERT(!ready(id), "core %u already in the ready tree", id);
+    treeSet(id, packKey(id, t));
+}
+
+void
+Engine::readyErase(CoreId id)
+{
+    SPMRT_ASSERT(ready(id), "core %u not in the ready tree", id);
+    treeSet(id, kAbsent);
+}
+
+void
+Engine::readyUpdate(CoreId id, Cycles t)
+{
+    SPMRT_ASSERT(ready(id), "core %u not in the ready tree", id);
+    treeSet(id, packKey(id, t));
 }
 
 Cycles
-Engine::heapMinTimeExcluding(CoreId self) const
+Engine::minReadyTimeExcluding(CoreId self) const
 {
-    if (heap_.empty())
-        return kNoOtherCore;
-    if (keyId(heap_[0]) != self)
-        return keyTime(heap_[0]);
-    // The excluded core sits at the root; its replacement minimum is the
-    // least of the root's (at most four) children.
-    HeapKey min_key = ~HeapKey(0);
-    const uint32_t size = static_cast<uint32_t>(heap_.size());
-    const uint32_t last = std::min<uint32_t>(5, size);
-    for (uint32_t child = 1; child < last; ++child) {
-        if (heap_[child] < min_key)
-            min_key = heap_[child];
+    // The siblings along self's leaf-to-root path partition every other
+    // leaf, so their least key is the minimum over all other cores.
+    PackedKey min_key = kAbsent;
+    for (uint32_t pos = leafBase_ + self; pos > 1; pos >>= 1) {
+        const PackedKey sibling = tree_[pos ^ 1];
+        min_key = sibling < min_key ? sibling : min_key;
     }
-    return min_key == ~HeapKey(0) ? kNoOtherCore : keyTime(min_key);
+    return min_key == kAbsent ? kNoOtherCore : keyTime(min_key);
 }
 
 void
 Engine::collectWindowCandidates()
 {
-    // Bounded descent: every entry within the window of the root's time,
-    // pruning subtrees whose root already exceeds it (children are never
-    // earlier than their parent). Candidates are sorted ascending so the
-    // RNG consumes exactly the same index stream as the reference
-    // scheduler's id-ordered scan.
+    // Bounded descent: every leaf within the window of the root's time,
+    // pruning subtrees whose least key already exceeds it. Pushing the
+    // right child first visits leaves left to right, so the ids come out
+    // ascending and the RNG consumes exactly the same index stream as
+    // the reference scheduler's id-ordered scan.
     candidateIds_.clear();
     descentStack_.clear();
-    const Cycles min_time = keyTime(heap_[0]);
-    descentStack_.push_back(0);
-    const uint32_t size = static_cast<uint32_t>(heap_.size());
+    const Cycles min_time = keyTime(tree_[1]);
+    descentStack_.push_back(1);
     while (!descentStack_.empty()) {
-        uint32_t pos = descentStack_.back();
+        const uint32_t pos = descentStack_.back();
         descentStack_.pop_back();
-        if (keyTime(heap_[pos]) - min_time > schedWindow_)
+        const PackedKey key = tree_[pos];
+        if (key == kAbsent || keyTime(key) - min_time > schedWindow_)
             continue;
-        candidateIds_.push_back(keyId(heap_[pos]));
-        uint32_t first = pos * 4 + 1;
-        uint32_t last = std::min(first + 4, size);
-        for (uint32_t child = first; child < last; ++child)
-            descentStack_.push_back(child);
+        if (pos >= leafBase_) {
+            candidateIds_.push_back(keyId(key));
+            continue;
+        }
+        descentStack_.push_back(2 * pos + 1);
+        descentStack_.push_back(2 * pos);
     }
-    std::sort(candidateIds_.begin(), candidateIds_.end());
 }
 
 // ---- Interrupts (watchdog, cycle limit, cancel flag) ---------------------

@@ -14,9 +14,10 @@
  * id), the entire simulation — including lock acquisition order and steal
  * interleavings — is reproducible run-to-run.
  *
- * The argmin is maintained in a 4-ary indexed min-heap keyed by
- * (time, id), so the tie-break is structural: picking the next core is an
- * O(1) root read and every clock mutation is an O(log N) sift instead of
+ * The argmin is maintained in a binary winner (tournament) tree over core
+ * ids whose nodes hold packed (time, id) keys, so the tie-break is
+ * structural: picking the next core is an O(1) root read and every clock
+ * mutation is one leaf-to-root replay of min(self, sibling) instead of
  * the historical O(N) scan per context switch. Two fast paths ride on it:
  *
  *  - syncPoint keeps the minimum clock among *other* runnable cores cached
@@ -74,7 +75,7 @@ namespace spmrt {
  *
  *  - Reference: the original O(N) linear-scan argmin, kept as the
  *    equivalence oracle.
- *  - Fast: the indexed-heap argmin (the default).
+ *  - Fast: the winner-tree argmin (the default).
  */
 enum class SchedMode : uint8_t
 {
@@ -136,6 +137,8 @@ class Engine
      */
     Engine(uint32_t num_cores, size_t host_stack_bytes);
 
+    ~Engine();
+
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
 
@@ -156,7 +159,7 @@ class Engine
         slot.time += dt;
         // Only the running core advances itself on the hot path; any
         // other clock change (phase barriers, tests) must be reflected
-        // in the heap and the high-water mark immediately.
+        // in the ready tree and the high-water mark immediately.
         if (id != running_)
             foreignClockChange(slot);
     }
@@ -266,7 +269,7 @@ class Engine
     /**
      * @name Scheduler selection
      *
-     * The indexed-heap scheduler (SchedMode::Fast) is the default. The
+     * The winner-tree scheduler (SchedMode::Fast) is the default. The
      * original O(N) linear-scan scheduler is kept, selectable at runtime,
      * as the equivalence oracle: same argmin, same tie-break, same RNG
      * consumption under perturbation, so results, cycle counts, and
@@ -327,7 +330,7 @@ class Engine
     bool
     remoteInlineOk(CoreId id, Cycles commit)
     {
-        if (!events_.empty() && events_[0] < heapKey(id, commit))
+        if (!events_.empty() && events_[0] < packKey(id, commit))
             return false;
         Cycles other = reference() ? minOtherTime(id) : cachedOtherMin_;
         return other >= commit;
@@ -473,17 +476,18 @@ class Engine
     };
 
     /**
-     * Heap entry: (time, id) packed into one word as
+     * Scheduling key: (time, id) packed into one word as
      * (time << idShift_) | id, so the lexicographic (time, id) compare —
      * lowest wins, ties favor lower id — is a single branch-free integer
-     * compare and four children share a cache line. The packing is exact
-     * while time < 2^(64 - idShift_); with id widths of ≤16 bits that is
-     * ~2.8e14 simulated cycles, far beyond any run, and heapKey asserts
-     * it.
+     * compare. The packing is exact while time < 2^(64 - idShift_); with
+     * id widths of ≤16 bits that is ~2.8e14 simulated cycles, far beyond
+     * any run, and packKey asserts it — strictly below, so no real key
+     * equals kAbsent.
      */
-    using HeapKey = uint64_t;
+    using PackedKey = uint64_t;
 
-    static constexpr uint32_t kNoHeapPos = ~uint32_t(0);
+    /** Ready-tree node over no runnable core (greater than any key). */
+    static constexpr PackedKey kAbsent = ~PackedKey(0);
     static constexpr Cycles kNoOtherCore =
         std::numeric_limits<Cycles>::max();
 
@@ -603,69 +607,84 @@ class Engine
     void finishCurrent(Slot &slot);
 
     /**
-     * Pick the next core to run (heap root, or a seeded within-window
+     * Pick the next core to run (tree root, or a seeded within-window
      * candidate under perturbation), run the watchdog check, and switch
-     * from @p from into it. Called with all heap keys fresh.
+     * from @p from into it. Called with all ready-tree keys fresh.
      */
     void dispatchFrom(GuestContext &from);
 
     /** Next core per the strict or perturbed policy (asserts progress). */
     Slot *pickNext();
 
-    /** @name Indexed 4-ary min-heap over runnable cores
-     *  @{ */
-    HeapKey
-    heapKey(CoreId id, Cycles t) const
+    /**
+     * @name Winner tree over runnable cores
+     *
+     * tree_ is a complete binary tree in an array: node n has children
+     * 2n and 2n+1, the root is node 1, and core c's leaf is node
+     * leafBase_ + c (leafBase_ = 2^idShift_, so the leaves pad to a power
+     * of two). Each node holds the least key of its subtree, kAbsent when
+     * no runnable core lies below it, so the root is the argmin. The
+     * running core keeps its (stale) leaf while it runs; clocks only
+     * increase, so one replay at switch-out restores the tree.
+     * @{
+     */
+    PackedKey
+    packKey(CoreId id, Cycles t) const
     {
-        SPMRT_ASSERT(t <= maxPackTime_,
-                     "clock %llu overflows the packed heap key",
+        SPMRT_ASSERT(t < maxPackTime_,
+                     "clock %llu overflows the packed scheduling key",
                      static_cast<unsigned long long>(t));
-        return (static_cast<HeapKey>(t) << idShift_) | id;
+        return (static_cast<PackedKey>(t) << idShift_) | id;
     }
 
-    CoreId keyId(HeapKey key) const
+    CoreId keyId(PackedKey key) const
     {
         return static_cast<CoreId>(key & idMask_);
     }
 
-    Cycles keyTime(HeapKey key) const { return key >> idShift_; }
+    Cycles keyTime(PackedKey key) const { return key >> idShift_; }
 
-    void heapSiftUp(uint32_t pos);
-    void heapSiftDown(uint32_t pos);
-    void heapInsert(CoreId id, Cycles t);
-    void heapErase(CoreId id);
-    void heapIncreaseKey(CoreId id, Cycles t);
+    /** True while core @p id has a leaf key in the ready tree. */
+    bool ready(CoreId id) const { return tree_[leafBase_ + id] != kAbsent; }
 
-    /** Min time over heap entries excluding @p self; kNoOtherCore when
-     *  none. O(arity): self can only occlude the root. */
-    Cycles heapMinTimeExcluding(CoreId self) const;
+    /** Set core @p id's leaf to @p key and replay min(self, sibling)
+     *  up to the root. */
+    void treeSet(CoreId id, PackedKey key);
 
-    /** Ids within @p window of the root's time, ascending (DFS with
+    void readyInsert(CoreId id, Cycles t);
+    void readyErase(CoreId id);
+    void readyUpdate(CoreId id, Cycles t);
+
+    /** Min time over ready cores other than @p self (the siblings along
+     *  @p self's leaf-to-root path); kNoOtherCore when none. */
+    Cycles minReadyTimeExcluding(CoreId self) const;
+
+    /** Ids within the window of the root's time, ascending (DFS with
      *  subtree pruning; fills candidateIds_). */
     void collectWindowCandidates();
     /** @} */
 
     GuestContext schedCtx_;
+    CoroutineStacks stacks_;        ///< every core's stack, one mapping
     std::unique_ptr<Slot[]> slots_; ///< contiguous, one indirection
     uint32_t numCores_ = 0;
     CoreId running_ = kInvalidCore;
     uint32_t live_ = 0;
     uint64_t switches_ = 0;
     uint64_t syncPoints_ = 0;
-    size_t stackBytes_;
     SchedMode mode_;
 
     // Remote-op commit queue (see the public @name block).
-    std::vector<HeapKey> events_;     ///< min-heap, one entry per issuer
+    std::vector<PackedKey> events_;   ///< min-heap, one entry per issuer
     std::vector<CoreOpSink *> opSinks_;
     Cycles cachedEventMin_ = kNoOtherCore;
 
-    // Indexed-heap scheduler state.
-    std::vector<HeapKey> heap_;      ///< runnable cores, packed (time, id)
-    std::vector<uint32_t> heapPos_;  ///< core id -> heap index or kNoHeapPos
-    uint32_t idShift_ = 0;           ///< bits reserved for the id field
-    HeapKey idMask_ = 0;             ///< low idShift_ bits
-    Cycles maxPackTime_ = 0;         ///< largest packable clock value
+    // Winner-tree scheduler state.
+    std::vector<PackedKey> tree_; ///< 2 * leafBase_ nodes; [0] unused
+    uint32_t leafBase_ = 0;       ///< leaf count (power of two)
+    uint32_t idShift_ = 0;        ///< bits reserved for the id field
+    PackedKey idMask_ = 0;        ///< low idShift_ bits
+    Cycles maxPackTime_ = 0;      ///< keyTime(kAbsent); clocks stay below
     /**
      * Exact minimum clock among runnable cores other than running_,
      * recomputed at every dispatch and min-folded on unblock. Exactness
@@ -701,8 +720,8 @@ class Engine
     Cycles schedWindow_ = 0;
     Xoshiro256StarStar schedRng_;
     std::vector<Slot *> schedCandidates_; ///< scratch (reference scan)
-    std::vector<CoreId> candidateIds_;    ///< scratch (heap descent)
-    std::vector<uint32_t> descentStack_;  ///< scratch (heap descent)
+    std::vector<CoreId> candidateIds_;    ///< scratch (tree descent)
+    std::vector<uint32_t> descentStack_;  ///< scratch (tree descent)
 };
 
 } // namespace spmrt

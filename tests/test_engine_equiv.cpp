@@ -1,6 +1,6 @@
 /**
  * @file
- * Scheduler equivalence suite: the indexed-heap fast scheduler vs. the
+ * Scheduler equivalence suite: the winner-tree fast scheduler vs. the
  * retained linear-scan reference scheduler.
  *
  * The engine contract is that the fast path changes *host* cost only:
@@ -304,7 +304,7 @@ TEST(GeometryEquivalence, OffPaperMachineMatchesSequentialBitForBit)
  * equivalence workload must compute the host reference result with the
  * checker armed and silent. A 1024-core machine is where a route table
  * compiled for the 16x8 floorplan, or an id field too narrow for the
- * packed heap key, actually breaks.
+ * packed scheduling key, actually breaks.
  */
 TEST(GeometryEquivalence, Big1024FastMatchesHostReference)
 {
@@ -397,15 +397,25 @@ struct EngineTrace
     Cycles maxTime = 0;
 };
 
+/**
+ * Core counts for the primitive-level legs: a lone core, counts that
+ * leave the ready tree's power-of-two leaves partly empty (3, 5, 17,
+ * 129), and the paper's 128.
+ */
+constexpr uint32_t kCoreCounts[] = {1, 3, 5, 17, 128, 129};
+
+/** Perturbation seeds for the primitive-level legs; 0 means strict. */
+constexpr uint64_t kPerturbSeeds[] = {0, 1, 2, 3};
+
 EngineTrace
-interleaveTrace(bool reference, uint64_t perturb_seed)
+interleaveTrace(bool reference, uint32_t cores, uint64_t perturb_seed)
 {
-    Engine engine(4, 64 * 1024);
+    Engine engine(cores, 64 * 1024);
     engine.setScheduler(schedFor(reference));
     if (perturb_seed != 0)
         engine.perturbSchedule(perturb_seed, 4);
     EngineTrace trace;
-    for (CoreId i = 0; i < 4; ++i) {
+    for (CoreId i = 0; i < cores; ++i) {
         engine.setBody(i, [&engine, &trace, i] {
             for (int k = 0; k < 20; ++k) {
                 engine.advance(i, 3 + (i * 7 + k) % 5);
@@ -422,51 +432,72 @@ interleaveTrace(bool reference, uint64_t perturb_seed)
 
 TEST(SchedulerEquivalence, PrimitiveInterleavingsMatch)
 {
-    for (uint64_t seed : {0ull, 1ull, 2ull, 3ull}) {
-        EngineTrace fast = interleaveTrace(false, seed);
-        EngineTrace oracle = interleaveTrace(true, seed);
-        EXPECT_EQ(fast.order, oracle.order) << "seed " << seed;
-        EXPECT_EQ(fast.switches, oracle.switches) << "seed " << seed;
-        EXPECT_EQ(fast.maxTime, oracle.maxTime) << "seed " << seed;
+    for (uint32_t cores : kCoreCounts) {
+        for (uint64_t seed : kPerturbSeeds) {
+            SCOPED_TRACE(::testing::Message()
+                         << cores << " cores, seed " << seed);
+            EngineTrace fast = interleaveTrace(false, cores, seed);
+            EngineTrace oracle = interleaveTrace(true, cores, seed);
+            EXPECT_EQ(fast.order, oracle.order);
+            EXPECT_EQ(fast.switches, oracle.switches);
+            EXPECT_EQ(fast.maxTime, oracle.maxTime);
+        }
     }
+}
+
+/**
+ * Even cores below the last park at time 0; the last core advances past
+ * them and then wakes each at a later time, after which everyone
+ * interleaves. Exercises ready-tree erase/insert and the cached
+ * other-min fold on unblock. With one core nothing parks.
+ */
+EngineTrace
+blockUnblockTrace(bool reference, uint32_t cores, uint64_t perturb_seed)
+{
+    Engine engine(cores, 64 * 1024);
+    engine.setScheduler(schedFor(reference));
+    if (perturb_seed != 0)
+        engine.perturbSchedule(perturb_seed, 4);
+    EngineTrace trace;
+    const CoreId waker = cores - 1;
+    for (CoreId i = 0; i < cores; ++i) {
+        const bool parks = i != waker && i % 2 == 0;
+        engine.setBody(i, [&engine, &trace, i, parks, waker] {
+            if (parks)
+                engine.block(i);
+            for (int k = 0; k < 10; ++k) {
+                engine.advance(i, i == waker ? 5 : 2 + i % 3);
+                engine.syncPoint(i);
+                trace.order.emplace_back(i, engine.time(i));
+            }
+            if (i == waker) {
+                for (CoreId j = 0; j < waker; j += 2)
+                    engine.unblock(j, 17 + j);
+            }
+        });
+    }
+    engine.run();
+    trace.switches = engine.switchCount();
+    trace.maxTime = engine.maxTime();
+    return trace;
 }
 
 TEST(SchedulerEquivalence, BlockUnblockMatches)
 {
-    // Core 0 parks; core 1 advances past it and wakes it at a later time;
-    // both then interleave. Exercises heap erase/insert and the cached
-    // other-min fold on unblock.
-    auto run = [](bool reference) {
-        Engine engine(2, 64 * 1024);
-        engine.setScheduler(schedFor(reference));
-        EngineTrace trace;
-        engine.setBody(0, [&engine, &trace] {
-            engine.block(0);
-            for (int k = 0; k < 10; ++k) {
-                engine.advance(0, 2);
-                engine.syncPoint(0);
-                trace.order.emplace_back(0u, engine.time(0));
-            }
-        });
-        engine.setBody(1, [&engine, &trace] {
-            for (int k = 0; k < 10; ++k) {
-                engine.advance(1, 5);
-                engine.syncPoint(1);
-                trace.order.emplace_back(1u, engine.time(1));
-            }
-            engine.unblock(0, 17);
-        });
-        engine.run();
-        trace.switches = engine.switchCount();
-        trace.maxTime = engine.maxTime();
-        return trace;
-    };
-    EngineTrace fast = run(false);
-    EngineTrace oracle = run(true);
-    EXPECT_EQ(fast.order, oracle.order);
-    EXPECT_EQ(fast.switches, oracle.switches);
-    EXPECT_EQ(fast.maxTime, oracle.maxTime);
-    EXPECT_EQ(fast.maxTime, 50u);
+    for (uint32_t cores : kCoreCounts) {
+        for (uint64_t seed : kPerturbSeeds) {
+            SCOPED_TRACE(::testing::Message()
+                         << cores << " cores, seed " << seed);
+            EngineTrace fast = blockUnblockTrace(false, cores, seed);
+            EngineTrace oracle = blockUnblockTrace(true, cores, seed);
+            EXPECT_EQ(fast.order, oracle.order);
+            EXPECT_EQ(fast.switches, oracle.switches);
+            EXPECT_EQ(fast.maxTime, oracle.maxTime);
+        }
+    }
+    // Two cores, strict: core 1 ends at 50 and wakes core 0 at 17, which
+    // then finishes at 37.
+    EXPECT_EQ(blockUnblockTrace(false, 2, 0).maxTime, 50u);
 }
 
 TEST(SchedulerEquivalence, MaxTimeIsLiveDuringARun)

@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <unistd.h>
+
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "mem/alloc.hpp"
+#include "sim/engine.hpp"
 #include "sim/machine.hpp"
 #include "spm/layout.hpp"
 #include "spm/stack.hpp"
@@ -70,6 +75,61 @@ TEST(ErrorsDeathTest, StackPopOfEmptyPanics)
         StackModel stack(core, cfg);
         EXPECT_DEATH(stack.pop(), "pop of empty");
     });
+}
+
+/** Recurse with a sub-page frame until the stack runs out. */
+[[gnu::noinline]] uint64_t
+recurseUntilOverflow(uint64_t depth)
+{
+    volatile char frame[512];
+    frame[0] = static_cast<char>(depth);
+    if (depth == std::numeric_limits<uint64_t>::max())
+        return 0;
+    return recurseUntilOverflow(depth + 1) + frame[0];
+}
+
+constexpr int kGuardFaultExit = 3; ///< fault on a mapped, forbidden page
+constexpr int kOtherFaultExit = 4; ///< fault on an unmapped address
+
+void
+exitOnFault(int, siginfo_t *info, void *)
+{
+    _exit(info->si_code == SEGV_ACCERR ? kGuardFaultExit : kOtherFaultExit);
+}
+
+/** Overflow core 1's coroutine stack, with a SIGSEGV handler (on its own
+ *  signal stack) that reports which kind of page the fault hit. */
+void
+overflowGuestStack()
+{
+    static char signal_stack[64 * 1024];
+    stack_t ss{};
+    ss.ss_sp = signal_stack;
+    ss.ss_size = sizeof(signal_stack);
+    ::sigaltstack(&ss, nullptr);
+    struct sigaction sa = {};
+    sa.sa_sigaction = exitOnFault;
+    sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+    ::sigaction(SIGSEGV, &sa, nullptr);
+
+    Engine engine(2, 64 * 1024);
+    engine.setBody(0, [] {});
+    engine.setBody(1, [] { (void)recurseUntilOverflow(0); });
+    engine.run();
+}
+
+TEST(ErrorsDeathTest, GuestStackOverflowHitsGuardPage)
+{
+    // Coroutine stacks sit side by side in one mapping; only the guard
+    // page under each keeps an overflowing guest from running on into
+    // its neighbour's stack. Frames smaller than a page cannot step over
+    // it, so the overflow must fault there: on a mapped page it may not
+    // touch (SEGV_ACCERR). Without the guard it would run down through
+    // core 0's stack and fault past the mapping's end, on an unmapped
+    // address instead.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(overflowGuestStack(),
+                ::testing::ExitedWithCode(kGuardFaultExit), "");
 }
 
 TEST(ErrorsDeathTest, OversizedSpmLayoutIsFatal)

@@ -544,12 +544,20 @@ TEST(LlcProperties, CapacityEviction)
 
 // ---- parallel pattern sweeps ---------------------------------------------------------
 
+/**
+ * One pattern-sweep case. Every field is eight bytes wide, so the struct
+ * has no padding: gtest prints a parameter without a PrintTo as a dump of
+ * its bytes, that dump becomes part of each ctest name, and padding bytes
+ * would make the names change from one build to the next.
+ */
 struct SweepParam
 {
     int64_t n;
     int64_t grain;
-    bool dynamic;
+    int64_t dynamic; ///< nonzero: work-stealing runtime, else static
 };
+static_assert(sizeof(SweepParam) == 3 * sizeof(int64_t),
+              "SweepParam must stay free of padding bytes");
 
 class PatternSweep : public ::testing::TestWithParam<SweepParam>
 {

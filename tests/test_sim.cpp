@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -91,6 +93,50 @@ TEST(Engine, DeepGuestRecursionFits)
     engine.setBody(0, [&depth] { depth = Recur::go(2000); });
     engine.run();
     EXPECT_EQ(depth, 2000);
+}
+
+/** Lines in /proc/self/maps: one per mapping (or protection run). */
+size_t
+mappingCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    size_t lines = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++lines;
+    return lines;
+}
+
+/** Build a paper machine, run every core once, tear it down; returns
+ *  the mapping count seen while the machine was alive. */
+size_t
+paperMachineCycle()
+{
+    Machine machine(MachineConfig::paper());
+    machine.run([](Core &core) { core.tick(1, 1); });
+    return mappingCount();
+}
+
+TEST(Machine, TeardownReleasesStackMapping)
+{
+    // A machine's coroutine stacks are one mapping, guarded per core and
+    // unmapped whole on teardown. Build/run/teardown cycles must
+    // therefore leave the process's mapping count where it was; a
+    // leaked stack mapping (or any of its guard-page splits) shows up as
+    // growth. One warm-up cycle lets the allocator settle first.
+    paperMachineCycle();
+    const size_t before = mappingCount();
+    for (int cycle = 0; cycle < 3; ++cycle) {
+        const size_t alive = paperMachineCycle();
+        EXPECT_GT(alive, before + 128)
+            << "the running machine's guarded stacks are not visible";
+#if defined(SPMRT_ASAN)
+        // ASan's allocator maps more memory as its quarantine fills, a
+        // line now and then; a leaked stack mapping adds hundreds.
+        EXPECT_LT(mappingCount(), before + 16) << "after cycle " << cycle;
+#else
+        EXPECT_EQ(mappingCount(), before) << "after cycle " << cycle;
+#endif
+    }
 }
 
 TEST(Machine, TickAdvancesClockAndCounts)
