@@ -152,30 +152,48 @@ measureOnce(const serve::JobRequest &req, uint32_t cores, bool reference)
     return sample;
 }
 
+/** The fast and reference measurements of one workload at one scale. */
+struct SamplePair
+{
+    Sample fast;
+    Sample ref;
+};
+
 // Best-of-3: the gated quantity is the fast-vs-reference wall ratio, and
 // a single timing on a shared CI runner can swing 30%+ from background
 // load. The min across reps is the standard noise-robust estimator (load
-// only ever adds time). Every rep must reproduce the same digest, cycle
-// count, and switch/syncPoint counts — a rep that diverges is a
-// determinism bug, not noise, and fataling here beats gating on it.
-Sample
-measure(const serve::JobRequest &req, uint32_t cores, bool reference)
+// only ever adds time). The reps alternate fast, reference, fast, ... so
+// host drift over the measurement hits both sides of the ratio alike.
+// Every rep must reproduce the same digest, cycle count, and
+// switch/syncPoint counts — a rep that diverges is a determinism bug,
+// not noise, and fataling here beats gating on it.
+SamplePair
+measure(const serve::JobRequest &req, uint32_t cores)
 {
     constexpr int kReps = 3;
-    Sample best = measureOnce(req, cores, reference);
-    for (int rep = 1; rep < kReps; ++rep) {
-        Sample s = measureOnce(req, cores, reference);
-        if (s.digest != best.digest || s.simCycles != best.simCycles ||
-            s.switches != best.switches || s.syncPoints != best.syncPoints)
-            SPMRT_FATAL("host_perf: %s/%u rep %d diverged from rep 0 "
-                        "(digest %llx vs %llx)",
-                        req.name.c_str(), cores, rep,
-                        (unsigned long long)s.digest,
-                        (unsigned long long)best.digest);
-        if (s.wallMs < best.wallMs)
-            best.wallMs = s.wallMs;
+    Sample best[2];
+    for (int rep = 0; rep < kReps; ++rep) {
+        for (bool reference : {false, true}) {
+            Sample s = measureOnce(req, cores, reference);
+            Sample &side = best[reference];
+            if (rep == 0) {
+                side = s;
+                continue;
+            }
+            if (s.digest != side.digest || s.simCycles != side.simCycles ||
+                s.switches != side.switches ||
+                s.syncPoints != side.syncPoints)
+                SPMRT_FATAL("host_perf: %s/%u %s rep %d diverged from rep "
+                            "0 (digest %llx vs %llx)",
+                            req.name.c_str(), cores,
+                            reference ? "reference" : "fast", rep,
+                            (unsigned long long)s.digest,
+                            (unsigned long long)side.digest);
+            if (s.wallMs < side.wallMs)
+                side.wallMs = s.wallMs;
+        }
     }
-    return best;
+    return {best[0], best[1]};
 }
 
 } // namespace
@@ -197,8 +215,7 @@ main(int argc, char **argv)
             if (!report.wants(
                     log::format("%s/%u", workload.kind.c_str(), cores)))
                 continue;
-            Sample fast = measure(req, cores, false);
-            Sample ref = measure(req, cores, true);
+            const auto [fast, ref] = measure(req, cores);
             // The speedup is only meaningful if it is a speedup into the
             // identical, correct simulation.
             bool ok = fast.digest == req.expectedDigest &&

@@ -1,7 +1,5 @@
 #include "mem/memory_system.hpp"
 
-#include <algorithm>
-
 #include <sys/mman.h>
 
 #include "obs/stats.hpp"
@@ -125,24 +123,17 @@ MemorySystem::loadBurst(CoreId core, Cycles issue, Addr addr, void *out,
     // generic loop would do anyway); if the issuing core's own SPM
     // window covers the entire burst, do one byte copy and a tight
     // port-timing loop.
-    uint32_t first_chunk =
-        std::min(bytes, kMaxChunk - (addr % kMaxChunk));
     DecodedAddr decoded;
-    const uint8_t *base = resolve(addr, first_chunk, decoded);
+    const uint8_t *base = resolve(addr, chunkAt(addr, 0, bytes), decoded);
     if (decoded.region == MemRegion::Spm && decoded.owner == core &&
         decoded.offset + bytes <= cfg_.spmBytes) {
         std::memcpy(out, base, bytes);
-        uint32_t offset = 0;
-        while (offset < bytes) {
-            uint32_t chunk = std::min(
-                bytes - offset, kMaxChunk - ((addr + offset) % kMaxChunk));
+        result.chunks = forEachChunk(addr, bytes, [&](uint32_t, uint32_t) {
             Cycles done = spmService(core, issue);
             if (done > result.lastDone)
                 result.lastDone = done;
             issue += 1;
-            offset += chunk;
-            ++result.chunks;
-        }
+        });
         stats_.localSpmLoads += result.chunks;
         result.lastIssue = issue;
         return result;
@@ -151,17 +142,14 @@ MemorySystem::loadBurst(CoreId core, Cycles issue, Addr addr, void *out,
     // Generic per-chunk path (remote SPM, DRAM, or a burst that leaves
     // the cached window — e.g. one crossing into a neighbour's SPM).
     auto *dst = static_cast<uint8_t *>(out);
-    uint32_t offset = 0;
-    while (offset < bytes) {
-        uint32_t chunk = std::min(bytes - offset,
-                                  kMaxChunk - ((addr + offset) % kMaxChunk));
-        Cycles done = load(core, issue, addr + offset, dst + offset, chunk);
-        if (done > result.lastDone)
-            result.lastDone = done;
-        issue += 1; // pipelined issue, one chunk per cycle
-        offset += chunk;
-        ++result.chunks;
-    }
+    result.chunks =
+        forEachChunk(addr, bytes, [&](uint32_t offset, uint32_t chunk) {
+            Cycles done =
+                load(core, issue, addr + offset, dst + offset, chunk);
+            if (done > result.lastDone)
+                result.lastDone = done;
+            issue += 1; // pipelined issue, one chunk per cycle
+        });
     result.lastIssue = issue;
     return result;
 }
@@ -176,27 +164,20 @@ MemorySystem::storeBurst(CoreId core, Cycles issue, Addr addr,
     if (bytes == 0)
         return result;
 
-    uint32_t first_chunk =
-        std::min(bytes, kMaxChunk - (addr % kMaxChunk));
     DecodedAddr decoded;
-    uint8_t *base = resolve(addr, first_chunk, decoded);
+    uint8_t *base = resolve(addr, chunkAt(addr, 0, bytes), decoded);
     if (decoded.region == MemRegion::Spm && decoded.owner == core &&
         decoded.offset + bytes <= cfg_.spmBytes) {
         std::memcpy(base, in, bytes);
         Cycles drain = storeDrain_[core];
-        uint32_t offset = 0;
-        while (offset < bytes) {
-            uint32_t chunk = std::min(
-                bytes - offset, kMaxChunk - ((addr + offset) % kMaxChunk));
+        result.chunks = forEachChunk(addr, bytes, [&](uint32_t, uint32_t) {
             Cycles arrival = spmService(core, issue);
             if (arrival > drain)
                 drain = arrival;
             if (arrival > result.lastDone)
                 result.lastDone = arrival;
             issue += 1;
-            offset += chunk;
-            ++result.chunks;
-        }
+        });
         storeDrain_[core] = drain;
         stats_.localSpmStores += result.chunks;
         result.lastIssue = issue;
@@ -204,18 +185,14 @@ MemorySystem::storeBurst(CoreId core, Cycles issue, Addr addr,
     }
 
     const auto *src = static_cast<const uint8_t *>(in);
-    uint32_t offset = 0;
-    while (offset < bytes) {
-        uint32_t chunk = std::min(bytes - offset,
-                                  kMaxChunk - ((addr + offset) % kMaxChunk));
-        Cycles done =
-            store(core, issue, addr + offset, src + offset, chunk);
-        if (done > result.lastDone)
-            result.lastDone = done;
-        issue += 1;
-        offset += chunk;
-        ++result.chunks;
-    }
+    result.chunks =
+        forEachChunk(addr, bytes, [&](uint32_t offset, uint32_t chunk) {
+            Cycles done =
+                store(core, issue, addr + offset, src + offset, chunk);
+            if (done > result.lastDone)
+                result.lastDone = done;
+            issue += 1;
+        });
     result.lastIssue = issue;
     return result;
 }

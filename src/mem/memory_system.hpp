@@ -24,6 +24,7 @@
 #ifndef SPMRT_MEM_MEMORY_SYSTEM_HPP
 #define SPMRT_MEM_MEMORY_SYSTEM_HPP
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -105,6 +106,18 @@ class MemorySystem
 
     /** Largest single timed transfer: one LLC line. Bursts split on this. */
     static constexpr uint32_t kMaxChunk = 64;
+
+    /**
+     * Chunks in a burst of @p bytes at @p addr, which is also the number
+     * of issue slots it occupies (one chunk issues per cycle). The Core
+     * charges a captured burst's issue slots with this before the burst
+     * reaches loadBurst()/storeBurst(), which split it by the same rule.
+     */
+    static uint32_t
+    burstChunks(Addr addr, uint32_t bytes)
+    {
+        return forEachChunk(addr, bytes, [](uint32_t, uint32_t) {});
+    }
 
     /** @name Timed guest accesses
      *  All take the issuing core and its current clock and return the
@@ -240,20 +253,8 @@ class MemorySystem
     /** Install (or clear, with nullptr) the concurrency checker. */
     void setChecker(ConcurrencyChecker *checker) { checker_ = checker; }
 
-    /**
-     * The armed checker, or nullptr. When the checker is compiled out this
-     * is a compile-time nullptr, so `if (auto *ck = mem.checker())` hook
-     * sites fold away entirely.
-     */
-    ConcurrencyChecker *
-    checker() const
-    {
-#if SPMRT_CHECKER_ENABLED
-        return checker_;
-#else
-        return nullptr;
-#endif
-    }
+    /** The armed checker, or nullptr. */
+    ConcurrencyChecker *checker() const { return checker_; }
 
     const AddressMap &map() const { return map_; }
     MeshNoc &noc() { return noc_; }
@@ -301,6 +302,35 @@ class MemorySystem
     void registerStats(obs::StatRegistry &registry) const;
 
   private:
+    /**
+     * The burst chunking rule: the piece of a @p bytes burst at @p addr
+     * that starts @p offset bytes in runs to the next kMaxChunk-byte LLC
+     * line boundary or to the end of the burst, whichever comes first.
+     */
+    static uint32_t
+    chunkAt(Addr addr, uint32_t offset, uint32_t bytes)
+    {
+        return std::min(bytes - offset,
+                        kMaxChunk - ((addr + offset) % kMaxChunk));
+    }
+
+    /**
+     * Call fn(offset, chunk) for each chunkAt() piece of a burst, in
+     * address order. Returns the chunk count.
+     */
+    template <typename Fn>
+    static uint32_t
+    forEachChunk(Addr addr, uint32_t bytes, Fn &&fn)
+    {
+        uint32_t chunks = 0;
+        for (uint32_t offset = 0; offset < bytes; ++chunks) {
+            const uint32_t chunk = chunkAt(addr, offset, bytes);
+            fn(offset, chunk);
+            offset += chunk;
+        }
+        return chunks;
+    }
+
     /** Host pointer backing a decoded address. */
     uint8_t *backing(const DecodedAddr &decoded, uint32_t size);
     const uint8_t *backing(const DecodedAddr &decoded, uint32_t size) const;

@@ -21,7 +21,7 @@
  * defines SPMRT_TELEMETRY_ENABLED=0 and every attachment accessor
  * (Core::tracer(), Engine::tracer(), Machine::armTelemetry()) returns a
  * compile-time nullptr, so `if (obs::Tracer *t = ...)` hook sites fold
- * away entirely — the same zero-cost pattern as SPMRT_CHECKER.
+ * away entirely.
  */
 
 #ifndef SPMRT_OBS_TRACE_HPP

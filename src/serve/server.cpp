@@ -390,11 +390,8 @@ FleetServer::runAttempt(Job &job)
         if (req.limits.cycleBudget != 0)
             machine.engine().armCycleLimit(machine.engine().maxTime() +
                                            req.limits.cycleBudget);
-        ConcurrencyChecker *checker = nullptr;
-#if SPMRT_CHECKER_ENABLED
-        if (req.armChecker)
-            checker = machine.armChecker();
-#endif
+        ConcurrencyChecker *checker =
+            req.armChecker ? machine.armChecker() : nullptr;
         if (req.scheduleSeed != 0)
             machine.engine().perturbSchedule(req.scheduleSeed,
                                              req.scheduleWindow);
@@ -441,7 +438,6 @@ FleetServer::runAttempt(Job &job)
         out.digest = prep.digest ? prep.digest(machine) : 0;
         lap(job.report.digestMs);
         out.status = JobStatus::Ok;
-#if SPMRT_CHECKER_ENABLED
         if (checker != nullptr && !checker->violations().empty()) {
             out.status = JobStatus::CheckerViolation;
             out.error =
@@ -449,8 +445,6 @@ FleetServer::runAttempt(Job &job)
                             checker->violations().size());
             out.dump = checker->report();
         }
-#endif
-        (void)checker;
         if (out.status == JobStatus::Ok && req.hasExpectedDigest &&
             out.digest != req.expectedDigest) {
             out.status = JobStatus::DigestMismatch;

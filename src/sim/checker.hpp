@@ -47,10 +47,11 @@
  * single structured report instead of a cascade.
  *
  * Hot-path hooks are inline so spmrt_mem can call them without linking
- * against spmrt_sim (the same arrangement as FaultPlan). Defining
- * SPMRT_CHECKER_ENABLED=0 (CMake option SPMRT_CHECKER=OFF) compiles every
- * hook call site down to nothing. Even when compiled in and armed, the
- * checker charges no cycles: enabling it never changes timing.
+ * against spmrt_sim (the same arrangement as FaultPlan). Every build
+ * compiles the checker in; disarmed, each hook site costs one null
+ * check, and every timed-access hook fires from one site, Core::apply().
+ * Armed, the checker still charges no cycles: enabling it never changes
+ * timing.
  */
 
 #ifndef SPMRT_SIM_CHECKER_HPP
@@ -65,10 +66,6 @@
 
 #include "common/log.hpp"
 #include "common/types.hpp"
-
-#ifndef SPMRT_CHECKER_ENABLED
-#define SPMRT_CHECKER_ENABLED 1
-#endif
 
 namespace spmrt {
 

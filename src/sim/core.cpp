@@ -1,7 +1,5 @@
 #include "sim/core.hpp"
 
-#include <algorithm>
-
 #include "obs/stats.hpp"
 
 namespace spmrt {
@@ -16,50 +14,22 @@ wholeRangeLocal(const Core &core, Addr addr, uint32_t bytes)
            (core.isLocalSpm(addr) && core.isLocalSpm(addr + bytes - 1));
 }
 
-/** Number of issue slots a burst occupies (chunks split on LLC lines). */
-uint32_t
-burstChunks(Addr addr, uint32_t bytes)
-{
-    uint32_t chunks = 0;
-    uint32_t offset = 0;
-    while (offset < bytes) {
-        uint32_t chunk =
-            std::min(bytes - offset,
-                     MemorySystem::kMaxChunk -
-                         ((addr + offset) % MemorySystem::kMaxChunk));
-        offset += chunk;
-        ++chunks;
-    }
-    return chunks;
-}
-
 } // namespace
 
 void
 Core::read(Addr addr, void *out, uint32_t bytes)
 {
-    engine_.syncPoint(id_);
-    // The burst splits on LLC lines (MemorySystem::kMaxChunk), issues one
-    // chunk per cycle, and completes at the slowest chunk; stats and
-    // checker bookkeeping stay hoisted out of the per-chunk loop. A burst
-    // that leaves this core's scratchpad is globally visible traffic and
-    // follows the capture protocol like a scalar load.
-    const bool local = wholeRangeLocal(*this, addr, bytes);
-    if (local || engine_.remoteInlineOk(id_, now() + commitDelta_)) {
-        BurstResult burst = mem_.loadBurst(id_, now(), addr, out, bytes);
-        stats_.isa.loads += burst.chunks;
-        stats_.isa.instructions += burst.chunks;
-        engine_.advanceTo(id_, burst.lastDone);
-        if (ConcurrencyChecker *ck = mem_.checker())
-            ck->onLoad(id_, addr, bytes, now());
-        if (!local) // completion gate, see Core::load()
-            engine_.syncPoint(id_);
-    } else {
-        captureBlocking(CapturedOp::LoadBurst, addr, out, bytes);
-        uint32_t chunks = burstChunks(addr, bytes);
-        stats_.isa.loads += chunks;
-        stats_.isa.instructions += chunks;
-    }
+    // The burst splits on LLC lines, issues one chunk per cycle, and
+    // completes at the slowest chunk; stats and checker bookkeeping stay
+    // hoisted out of the per-chunk loop. A burst that leaves this core's
+    // scratchpad is globally visible traffic and takes the blocking
+    // issue decision like a scalar load.
+    issueBlocking<MemOp::LoadBurst>(
+        {.addr = addr, .bytes = bytes, .dst = out},
+        wholeRangeLocal(*this, addr, bytes));
+    const uint32_t chunks = MemorySystem::burstChunks(addr, bytes);
+    stats_.isa.loads += chunks;
+    stats_.isa.instructions += chunks;
 }
 
 void
@@ -67,116 +37,32 @@ Core::write(Addr addr, const void *in, uint32_t bytes)
 {
     // Posted per chunk: the core advances only past the issue slots, not
     // the stores' arrival (fence() waits on the drain time).
-    // Checker hooks ride the memory-system call (see Core::load);
-    // captured bursts hook at the commit instead.
-    if (wholeRangeLocal(*this, addr, bytes)) {
-        BurstResult burst = mem_.storeBurst(id_, now(), addr, in, bytes);
-        stats_.isa.stores += burst.chunks;
-        stats_.isa.instructions += burst.chunks;
-        engine_.advanceTo(id_, burst.lastIssue);
-        if (ConcurrencyChecker *ck = mem_.checker())
-            ck->onStore(id_, addr, bytes, now());
-    } else {
-        engine_.syncPoint(id_);
-        if (engine_.remoteInlineOk(id_, now() + commitDelta_)) {
-            BurstResult burst =
-                mem_.storeBurst(id_, now(), addr, in, bytes);
-            stats_.isa.stores += burst.chunks;
-            stats_.isa.instructions += burst.chunks;
-            engine_.advanceTo(id_, burst.lastIssue);
-            if (ConcurrencyChecker *ck = mem_.checker())
-                ck->onStore(id_, addr, bytes, now());
-        } else {
-            uint32_t chunks = burstChunks(addr, bytes);
-            capturePostedBurst(addr, in, bytes);
-            stats_.isa.stores += chunks;
-            stats_.isa.instructions += chunks;
-        }
-    }
+    issuePosted<MemOp::StoreBurst>(
+        {.addr = addr, .bytes = bytes, .src = in},
+        wholeRangeLocal(*this, addr, bytes));
+    const uint32_t chunks = MemorySystem::burstChunks(addr, bytes);
+    stats_.isa.stores += chunks;
+    stats_.isa.instructions += chunks;
 }
 
 // ---- Remote-op capture and commit ----------------------------------------
 
 void
-Core::enqueueOp(CapturedOp &&op)
+Core::capture(MemOp op)
 {
-    const bool was_empty = capturedOps_.empty();
-    const Cycles commit = op.issue + commitDelta_;
-    capturedOps_.push_back(std::move(op));
-    if (was_empty)
-        engine_.scheduleRemoteOp(id_, commit);
-}
-
-void
-Core::captureBlocking(CapturedOp::Kind kind, Addr addr, void *dst,
-                      uint32_t bytes)
-{
-    CapturedOp op;
-    op.kind = kind;
-    op.issue = now();
-    op.addr = addr;
-    op.bytes = bytes;
-    op.dst = dst;
-    enqueueOp(std::move(op));
-    // Parked until the commit computes the completion time; the guest
-    // resumes with *dst filled and the clock advanced to the done time.
-    engine_.block(id_, Engine::ParkKind::Commit);
-    // Completion gate, matching the inline path (see Core::load): the
-    // wake jumped the clock to the op's done time.
-    engine_.syncPoint(id_);
-}
-
-void
-Core::captureAmo(Addr addr, AmoOp amo_op, uint32_t operand, void *dst)
-{
-    CapturedOp op;
-    op.kind = CapturedOp::Amo;
-    op.amoOp = amo_op;
-    op.issue = now();
-    op.addr = addr;
-    op.bytes = sizeof(uint32_t);
-    op.amoOperand = operand;
-    op.dst = dst;
-    enqueueOp(std::move(op));
-    engine_.block(id_, Engine::ParkKind::Commit);
-    engine_.syncPoint(id_); // completion gate, see captureBlocking()
-}
-
-void
-Core::capturePostedStore(CapturedOp::Kind kind, Addr addr,
-                         const void *src, uint32_t bytes)
-{
-    SPMRT_ASSERT(bytes <= sizeof(uint64_t),
-                 "scalar store of %u bytes exceeds the inline payload",
-                 bytes);
-    CapturedOp op;
-    op.kind = kind;
-    op.issue = now();
-    op.addr = addr;
-    op.bytes = bytes;
-    std::memcpy(&op.value, src, bytes);
-    enqueueOp(std::move(op));
-    ++pendingPosted_;
-    // The posted issue cost: storeRemote returns start + 1 regardless of
-    // memory state, so the core charges it here and runs on.
-    engine_.advance(id_, 1);
-}
-
-void
-Core::capturePostedBurst(Addr addr, const void *src, uint32_t bytes)
-{
-    CapturedOp op;
-    op.kind = CapturedOp::StoreBurst;
-    op.issue = now();
-    op.addr = addr;
-    op.bytes = bytes;
-    const auto *first = static_cast<const uint8_t *>(src);
-    op.payload.assign(first, first + bytes);
-    enqueueOp(std::move(op));
-    ++pendingPosted_;
-    // One issue slot per chunk (BurstResult::lastIssue is issue + chunks
-    // on every path), charged here so the core can run on.
-    engine_.advance(id_, burstChunks(addr, bytes));
+    CapturedOp &slot = capturedOps_.emplace_back();
+    slot.op = op;
+    slot.issue = now();
+    if (op.kind == MemOp::StoreBurst) {
+        const auto *first = static_cast<const uint8_t *>(op.src);
+        slot.payload.assign(first, first + op.bytes);
+        slot.op.src = slot.payload.data();
+    } else if (MemOp::posted(op.kind)) {
+        std::memcpy(&slot.value, op.src, op.bytes);
+        slot.op.src = &slot.value;
+    }
+    if (capturedOps_.size() == 1) // a new head: announce its commit key
+        engine_.scheduleRemoteOp(id_, slot.issue + commitDelta_);
 }
 
 Cycles
@@ -184,70 +70,19 @@ Core::executeHeadOp()
 {
     SPMRT_ASSERT(!capturedOps_.empty(),
                  "core %u has no captured op to commit", id_);
-    CapturedOp op = std::move(capturedOps_.front());
+    // apply() fires the checker hook here, at the commit, where the op's
+    // effect lands in the memory system. The guest's task context cannot
+    // have moved past the op — blocking issuers are parked until the
+    // commit, and posted issuers fence before every task boundary.
+    const CapturedOp &head = capturedOps_.front();
+    const MemOp::Kind kind = head.op.kind;
+    const Cycles done = applyKind(
+        head.op, head.issue, std::make_index_sequence<MemOp::StoreBurst + 1>());
     capturedOps_.pop_front();
-    // Checker hooks fire here, at the commit: this is where the op's
-    // effect lands in the memory system, so the checker observes it in
-    // true effect order (see Core::load). The guest's task context
-    // cannot have moved past the op — blocking issuers are parked until
-    // the commit, and posted issuers fence before every task boundary.
-    ConcurrencyChecker *ck = mem_.checker();
-    switch (op.kind) {
-      case CapturedOp::Load:
-      case CapturedOp::LoadSync: {
-        Cycles done = mem_.load(id_, op.issue, op.addr, op.dst, op.bytes);
-        if (ck != nullptr) {
-            if (op.kind == CapturedOp::LoadSync)
-                ck->onLoadSync(id_, op.addr, op.bytes);
-            else
-                ck->onLoad(id_, op.addr, op.bytes, done);
-        }
+    if (!MemOp::posted(kind))
         engine_.commitWake(id_, done);
-        break;
-      }
-      case CapturedOp::LoadBurst: {
-        BurstResult burst =
-            mem_.loadBurst(id_, op.issue, op.addr, op.dst, op.bytes);
-        if (ck != nullptr)
-            ck->onLoad(id_, op.addr, op.bytes, burst.lastDone);
-        engine_.commitWake(id_, burst.lastDone);
-        break;
-      }
-      case CapturedOp::Amo: {
-        uint32_t old_value = 0;
-        Cycles done = mem_.amo(id_, op.issue, op.addr, op.amoOp,
-                               op.amoOperand, old_value);
-        std::memcpy(op.dst, &old_value, sizeof(old_value));
-        if (ck != nullptr)
-            ck->onAmo(id_, op.addr, done);
-        engine_.commitWake(id_, done);
-        break;
-      }
-      case CapturedOp::Store:
-      case CapturedOp::StoreRelease: {
-        Cycles done =
-            mem_.store(id_, op.issue, op.addr, &op.value, op.bytes);
-        if (ck != nullptr) {
-            if (op.kind == CapturedOp::StoreRelease)
-                ck->onStoreRelease(id_, op.addr);
-            else
-                ck->onStore(id_, op.addr, op.bytes, done);
-        }
-        if (--pendingPosted_ == 0 && fenceWaiting_)
-            engine_.commitWake(id_, 0);
-        break;
-      }
-      case CapturedOp::StoreBurst: {
-        Cycles done = mem_.storeBurst(id_, op.issue, op.addr,
-                                      op.payload.data(), op.bytes)
-                          .lastIssue;
-        if (ck != nullptr)
-            ck->onStore(id_, op.addr, op.bytes, done);
-        if (--pendingPosted_ == 0 && fenceWaiting_)
-            engine_.commitWake(id_, 0);
-        break;
-      }
-    }
+    else if (--pendingPosted_ == 0 && fenceWaiting_)
+        engine_.commitWake(id_, 0);
     return capturedOps_.empty() ? Engine::kNoPendingOp
                                 : capturedOps_.front().issue + commitDelta_;
 }

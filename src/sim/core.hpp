@@ -12,8 +12,8 @@
 #ifndef SPMRT_SIM_CORE_HPP
 #define SPMRT_SIM_CORE_HPP
 
-#include <cstring>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "common/log.hpp"
@@ -70,21 +70,27 @@ struct CoreStats
 /**
  * Handle through which guest code interacts with the simulated machine.
  *
- * Memory-model note: every globally visible operation — anything not
- * targeting this core's own scratchpad — commits a uniform delta
+ * Every memory op is one MemOp record that takes one of three routes,
+ * and every route ends in apply(), which makes the op's one timed
+ * memory-system call and fires its one checker hook:
+ *
+ *  - local: an op on this core's own scratchpad applies at the issue
+ *    site;
+ *  - inline: a globally visible op (anything else) whose commit key is
+ *    already globally next (Engine::remoteInlineOk) also applies at the
+ *    issue site, with no capture and no context switch;
+ *  - commit: any other globally visible op is captured into this core's
+ *    FIFO and applied by the engine, via executeHeadOp(), when its key
+ *    is globally next. Blocking ops park the core until then; posted
+ *    stores charge their issue slots and run on (fence() waits for
+ *    stragglers).
+ *
+ * Memory-model note: every globally visible op commits a uniform delta
  * (max(1, linkLatency) cycles) after its issue gate, in (commit time,
  * core id) order. Because the delta is uniform, that commit order is
  * exactly the issue-gate order, so the memory system observes the same
  * call sequence with the same timestamps regardless of how guest
- * execution is interleaved (DESIGN.md Sec. 14). On the fast path an op
- * whose commit key is already globally next executes inline at the issue
- * site (Engine::remoteInlineOk) with no capture and no context switch, so
- * a run with spread-out core clocks behaves exactly like the historical
- * commit-at-issue engine. Otherwise the op is captured into this core's
- * FIFO and the engine commits it — via executeHeadOp() — when its key
- * is globally next: blocking ops park the core until the commit
- * computes their completion time, posted stores charge the issue cost
- * and continue (fence() waits for stragglers).
+ * execution is interleaved (DESIGN.md Sec. 14).
  */
 class Core : public CoreOpSink
 {
@@ -127,33 +133,10 @@ class Core : public CoreOpSink
     load(Addr addr)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        engine_.syncPoint(id_);
         T value;
-        // Checker hooks ride the memory-system call: the checker's
-        // happens-before graph must observe accesses in exactly the
-        // order their effects land, which is the mem_ call order — the
-        // guest site for local and inline ops, the commit
-        // (executeHeadOp) for captured ones. Hooking captured ops at
-        // the issue or wake site instead reorders them against other
-        // cores' effects within the commit-delta window and the checker
-        // reports phantom races (or misses real ones).
-        const bool local = isLocalSpm(addr);
-        if (local || engine_.remoteInlineOk(id_, now() + commitDelta_)) {
-            Cycles done = mem_.load(id_, now(), addr, &value, sizeof(T));
-            engine_.advanceTo(id_, done);
-            if (ConcurrencyChecker *ck = mem_.checker())
-                ck->onLoad(id_, addr, sizeof(T), now());
-            // Completion gate (remote only): the clock jumped to the
-            // response time while other cores may still sit below it, so
-            // re-enter admission before running on. The capture path
-            // gates identically after its wake, which keeps every
-            // engine's segment boundaries — and therefore the host order
-            // of stateful memory-model charges — the same.
-            if (!local)
-                engine_.syncPoint(id_);
-        } else {
-            captureBlocking(CapturedOp::Load, addr, &value, sizeof(T));
-        }
+        issueBlocking<MemOp::Load>(
+            {.addr = addr, .bytes = sizeof(T), .dst = &value},
+            isLocalSpm(addr));
         ++stats_.isa.loads;
         ++stats_.isa.instructions;
         return value;
@@ -171,22 +154,10 @@ class Core : public CoreOpSink
     loadSync(Addr addr)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        engine_.syncPoint(id_);
         T value;
-        // Acquire edge at the memory-system call (see load() for why);
-        // the LoadSync capture kind carries the hook to the commit.
-        const bool local = isLocalSpm(addr);
-        if (local || engine_.remoteInlineOk(id_, now() + commitDelta_)) {
-            Cycles done = mem_.load(id_, now(), addr, &value, sizeof(T));
-            engine_.advanceTo(id_, done);
-            if (ConcurrencyChecker *ck = mem_.checker())
-                ck->onLoadSync(id_, addr, sizeof(T));
-            if (!local) // completion gate, see load()
-                engine_.syncPoint(id_);
-        } else {
-            captureBlocking(CapturedOp::LoadSync, addr, &value,
-                            sizeof(T));
-        }
+        issueBlocking<MemOp::LoadSync>(
+            {.addr = addr, .bytes = sizeof(T), .dst = &value},
+            isLocalSpm(addr));
         ++stats_.isa.loads;
         ++stats_.isa.instructions;
         return value;
@@ -198,30 +169,10 @@ class Core : public CoreOpSink
     store(Addr addr, T value)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        // Checker hooks ride the memory-system call (see load()):
-        // captured posted stores hook at the commit instead.
-        if (isLocalSpm(addr)) {
-            Cycles done = mem_.store(id_, now(), addr, &value, sizeof(T));
-            engine_.advanceTo(id_, done);
-            if (ConcurrencyChecker *ck = mem_.checker())
-                ck->onStore(id_, addr, sizeof(T), now());
-        } else {
-            // Remote and DRAM stores are globally visible traffic; order
-            // them. The posted issue cost is one cycle either way
-            // (MemorySystem::storeRemote returns start + 1), so the
-            // capture path charges it directly and moves on.
-            engine_.syncPoint(id_);
-            if (engine_.remoteInlineOk(id_, now() + commitDelta_)) {
-                Cycles done =
-                    mem_.store(id_, now(), addr, &value, sizeof(T));
-                engine_.advanceTo(id_, done);
-                if (ConcurrencyChecker *ck = mem_.checker())
-                    ck->onStore(id_, addr, sizeof(T), now());
-            } else {
-                capturePostedStore(CapturedOp::Store, addr, &value,
-                                   sizeof(T));
-            }
-        }
+        static_assert(sizeof(T) <= sizeof(CapturedOp::value));
+        issuePosted<MemOp::Store>(
+            {.addr = addr, .bytes = sizeof(T), .src = &value},
+            isLocalSpm(addr));
         ++stats_.isa.stores;
         ++stats_.isa.instructions;
     }
@@ -237,27 +188,11 @@ class Core : public CoreOpSink
     storeRelease(Addr addr, T value)
     {
         static_assert(std::is_trivially_copyable_v<T>);
+        static_assert(sizeof(T) <= sizeof(CapturedOp::value));
         fence();
-        // Release edge at the memory-system call (see load()); the
-        // StoreRelease capture kind carries the hook to the commit.
-        if (isLocalSpm(addr)) {
-            Cycles done = mem_.store(id_, now(), addr, &value, sizeof(T));
-            engine_.advanceTo(id_, done);
-            if (ConcurrencyChecker *ck = mem_.checker())
-                ck->onStoreRelease(id_, addr);
-        } else {
-            engine_.syncPoint(id_);
-            if (engine_.remoteInlineOk(id_, now() + commitDelta_)) {
-                Cycles done =
-                    mem_.store(id_, now(), addr, &value, sizeof(T));
-                engine_.advanceTo(id_, done);
-                if (ConcurrencyChecker *ck = mem_.checker())
-                    ck->onStoreRelease(id_, addr);
-            } else {
-                capturePostedStore(CapturedOp::StoreRelease, addr,
-                                   &value, sizeof(T));
-            }
-        }
+        issuePosted<MemOp::StoreRelease>(
+            {.addr = addr, .bytes = sizeof(T), .src = &value},
+            isLocalSpm(addr));
         ++stats_.isa.stores;
         ++stats_.isa.instructions;
     }
@@ -275,22 +210,13 @@ class Core : public CoreOpSink
     uint32_t
     amo(Addr addr, AmoOp op, uint32_t operand)
     {
-        engine_.syncPoint(id_);
         uint32_t old_value = 0;
-        // Acquire+release edges at the memory-system call (see load()
-        // for why); captured AMOs hook at the commit.
-        const bool local = isLocalSpm(addr);
-        if (local || engine_.remoteInlineOk(id_, now() + commitDelta_)) {
-            Cycles done =
-                mem_.amo(id_, now(), addr, op, operand, old_value);
-            engine_.advanceTo(id_, done);
-            if (ConcurrencyChecker *ck = mem_.checker())
-                ck->onAmo(id_, addr, now());
-            if (!local) // completion gate, see load()
-                engine_.syncPoint(id_);
-        } else {
-            captureAmo(addr, op, operand, &old_value);
-        }
+        issueBlocking<MemOp::Amo>({.amoOp = op,
+                                   .addr = addr,
+                                   .bytes = sizeof(uint32_t),
+                                   .amoOperand = operand,
+                                   .dst = &old_value},
+                                  isLocalSpm(addr));
         ++stats_.isa.amos;
         ++stats_.isa.instructions;
         return old_value;
@@ -326,8 +252,8 @@ class Core : public CoreOpSink
         engine_.advanceTo(id_, mem_.storeDrainTime(id_));
         // Completion gate: the drain time can jump far past other cores'
         // clocks (remote store arrivals), so re-enter admission before
-        // running on — see load() for why every engine must split its
-        // segments at the same points.
+        // running on — see issueBlocking() for why every engine must
+        // split its segments at the same points.
         engine_.syncPoint(id_);
         ++stats_.isa.fences;
         ++stats_.isa.instructions;
@@ -392,52 +318,171 @@ class Core : public CoreOpSink
     Cycles executeHeadOp() override;
 
   private:
-    /**
-     * A globally visible operation captured at its issue gate, waiting
-     * for the engine to commit it in global (commit time, core id)
-     * order. Blocking kinds keep the issuing core parked, so their
-     * guest-owned destination buffer (dst) stays alive; posted-store
-     * payloads are copied because the issuing core runs on.
-     */
-    struct CapturedOp
+    /** One memory op: the record the local, inline and commit routes
+     *  share. Its kind is a compile-time constant at every issue site. */
+    struct MemOp
     {
         enum Kind : uint8_t
         {
-            Load,         ///< blocking scalar load (dst, bytes)
-            LoadSync,     ///< as Load; commits an acquire checker edge
-            LoadBurst,    ///< blocking bulk read (dst, bytes)
-            Store,        ///< posted scalar store (value, bytes)
-            StoreRelease, ///< as Store; commits a release checker edge
-            StoreBurst,   ///< posted bulk write (payload)
-            Amo,          ///< blocking read-modify-write (dst = old)
+            // Blocking kinds: the issuer waits for the result.
+            Load,      ///< scalar load into dst
+            LoadSync,  ///< as Load; fires an acquire checker edge
+            LoadBurst, ///< bulk read into dst
+            Amo,       ///< read-modify-write; the old value lands in dst
+            // Posted kinds: the issuer runs on.
+            Store,        ///< scalar store from src
+            StoreRelease, ///< as Store; fires a release checker edge
+            StoreBurst,   ///< bulk write from src
         };
         Kind kind = Load;
         AmoOp amoOp = AmoOp::Add;
-        Cycles issue = 0;
         Addr addr = 0;
         uint32_t bytes = 0;
         uint32_t amoOperand = 0;
         void *dst = nullptr;
-        uint64_t value = 0;
-        std::vector<uint8_t> payload;
+        const void *src = nullptr;
+
+        static constexpr bool posted(Kind kind) { return kind >= Store; }
     };
 
-    /** Append @p op to the FIFO; announce the head when it is new. */
-    void enqueueOp(CapturedOp &&op);
+    /**
+     * A globally visible op captured at its issue gate, waiting for the
+     * engine to commit it in global (commit time, core id) order.
+     * Blocking kinds keep the issuing core parked, so their guest-owned
+     * dst stays alive. Posted payloads are copied in, because the issuer
+     * runs on, and op.src points at the copy: the record is applied in
+     * place at the FIFO head, and deque push_back/pop_front never move
+     * the other records.
+     */
+    struct CapturedOp
+    {
+        MemOp op;
+        Cycles issue = 0;
+        uint64_t value = 0;           ///< scalar store payload
+        std::vector<uint8_t> payload; ///< burst payload
+    };
 
-    /** Capture a blocking op and park until the commit completes it. */
-    void captureBlocking(CapturedOp::Kind kind, Addr addr, void *dst,
-                         uint32_t bytes);
+    /**
+     * Apply @p op to the memory system at @p issue: the one timed
+     * memory-system call and the one checker hook, for every route.
+     * Returns the core-visible completion time — the response for
+     * blocking kinds, the end of the issue slots for posted ones.
+     *
+     * Checker hooks ride the memory-system call: the checker's
+     * happens-before graph must observe accesses in exactly the order
+     * their effects land, which is the mem_ call order — the issue site
+     * for local and inline ops, the commit (executeHeadOp) for captured
+     * ones. Hooking captured ops at the issue or wake site instead
+     * reorders them against other cores' effects within the commit-delta
+     * window and the checker reports phantom races (or misses real ones).
+     * Forced inline, like both issue decisions, so every guest call site
+     * folds to a fixed-size copy and MemorySystem's local fast path.
+     */
+    template <MemOp::Kind K>
+    [[gnu::always_inline]] Cycles
+    apply(const MemOp &op, Cycles issue)
+    {
+        Cycles done = 0;
+        if constexpr (K == MemOp::Load || K == MemOp::LoadSync)
+            done = mem_.load(id_, issue, op.addr, op.dst, op.bytes);
+        else if constexpr (K == MemOp::LoadBurst)
+            done = mem_.loadBurst(id_, issue, op.addr, op.dst, op.bytes)
+                       .lastDone;
+        else if constexpr (K == MemOp::Amo)
+            done = mem_.amo(id_, issue, op.addr, op.amoOp, op.amoOperand,
+                            *static_cast<uint32_t *>(op.dst));
+        else if constexpr (K == MemOp::Store || K == MemOp::StoreRelease)
+            done = mem_.store(id_, issue, op.addr, op.src, op.bytes);
+        else
+            done = mem_.storeBurst(id_, issue, op.addr, op.src, op.bytes)
+                       .lastIssue;
+        if (ConcurrencyChecker *ck = mem_.checker()) {
+            if constexpr (K == MemOp::LoadSync)
+                ck->onLoadSync(id_, op.addr, op.bytes);
+            else if constexpr (K == MemOp::StoreRelease)
+                ck->onStoreRelease(id_, op.addr);
+            else if constexpr (K == MemOp::Amo)
+                ck->onAmo(id_, op.addr, done);
+            else if constexpr (MemOp::posted(K))
+                ck->onStore(id_, op.addr, op.bytes, done);
+            else
+                ck->onLoad(id_, op.addr, op.bytes, done);
+        }
+        return done;
+    }
 
-    /** Capture a blocking AMO (old value lands in *dst at commit). */
-    void captureAmo(Addr addr, AmoOp op, uint32_t operand, void *dst);
+    /** apply() for a kind known only at run time (the commit): one
+     *  inlined instantiation per kind, picked by comparing kinds. */
+    template <size_t... Ks>
+    Cycles
+    applyKind(const MemOp &op, Cycles issue, std::index_sequence<Ks...>)
+    {
+        Cycles done = 0;
+        ((op.kind == Ks && (done = apply<MemOp::Kind(Ks)>(op, issue), true)) ||
+         ...);
+        return done;
+    }
 
-    /** Capture a posted scalar store; charges the one issue cycle. */
-    void capturePostedStore(CapturedOp::Kind kind, Addr addr,
-                            const void *src, uint32_t bytes);
+    /**
+     * The issue decision for blocking ops (Load, LoadSync, LoadBurst,
+     * Amo): gate at a syncPoint; apply here if @p local or if the commit
+     * key is already globally next; otherwise capture and park until the
+     * commit applies the op and wakes this core at its done time.
+     */
+    template <MemOp::Kind K>
+    [[gnu::always_inline]] void
+    issueBlocking(MemOp op, bool local)
+    {
+        engine_.syncPoint(id_);
+        if (local || engine_.remoteInlineOk(id_, now() + commitDelta_)) {
+            engine_.advanceTo(id_, apply<K>(op, now()));
+        } else {
+            op.kind = K;
+            capture(op);
+            engine_.block(id_, Engine::ParkKind::Commit);
+        }
+        // Completion gate (remote only): the clock jumped to the
+        // response time while other cores may still sit below it, so
+        // re-enter admission before running on. The inline and commit
+        // routes gate at the same point, which keeps every engine's
+        // segment boundaries — and therefore the host order of stateful
+        // memory-model charges — the same.
+        if (!local)
+            engine_.syncPoint(id_);
+    }
 
-    /** Capture a posted burst; charges the per-chunk issue slots. */
-    void capturePostedBurst(Addr addr, const void *src, uint32_t bytes);
+    /**
+     * The issue decision for posted ops (Store, StoreRelease,
+     * StoreBurst): a @p local op applies here with no gate. A remote one
+     * is globally visible traffic, so it gates at a syncPoint, then
+     * applies here if its commit key is already globally next and is
+     * captured otherwise. The posted issue cost never depends on memory
+     * state — storeRemote returns start + 1 and a burst issues one chunk
+     * per cycle — so a captured op charges it here and the core runs on.
+     */
+    template <MemOp::Kind K>
+    [[gnu::always_inline]] void
+    issuePosted(MemOp op, bool local)
+    {
+        if (!local) {
+            engine_.syncPoint(id_);
+            if (!engine_.remoteInlineOk(id_, now() + commitDelta_)) {
+                op.kind = K;
+                capture(op);
+                ++pendingPosted_;
+                engine_.advance(id_, K == MemOp::StoreBurst
+                                         ? MemorySystem::burstChunks(
+                                               op.addr, op.bytes)
+                                         : 1);
+                return;
+            }
+        }
+        engine_.advanceTo(id_, apply<K>(op, now()));
+    }
+
+    /** Append @p op to the commit FIFO, copying a posted payload. Taken
+     *  by value so no issue site's op escapes and its size stays constant. */
+    void capture(MemOp op);
 
     Engine &engine_;
     MemorySystem &mem_;

@@ -177,21 +177,15 @@ class Machine
      * Arm the concurrency checker: creates it (idempotently) and attaches
      * it to the memory system so every timed access is observed. Arm
      * *before* constructing a runtime — region registration happens in
-     * runtime constructors. Returns nullptr (with a warning) when the
-     * checker is compiled out (SPMRT_CHECKER=OFF).
+     * runtime constructors.
      */
     ConcurrencyChecker *
     armChecker()
     {
-#if SPMRT_CHECKER_ENABLED
         if (!checker_)
             checker_ = std::make_unique<ConcurrencyChecker>(numCores());
         mem_.setChecker(checker_.get());
         return checker_.get();
-#else
-        SPMRT_WARN("armChecker(): checker compiled out (SPMRT_CHECKER=OFF)");
-        return nullptr;
-#endif
     }
 
     /** Detach the checker from the memory system (instance is kept). */
@@ -201,7 +195,7 @@ class Machine
         mem_.setChecker(nullptr);
     }
 
-    /** The armed checker, or nullptr (disarmed or compiled out). */
+    /** The armed checker, or nullptr when disarmed. */
     ConcurrencyChecker *checker() const { return mem_.checker(); }
 
     /**

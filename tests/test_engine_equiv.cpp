@@ -230,12 +230,10 @@ TEST_P(SchedulerEquivalence, FastMatchesReferenceBitForBit)
             << regime.name << ": context-switch counts diverged";
         EXPECT_EQ(fast.syncPoints, oracle.syncPoints)
             << regime.name << ": syncPoint counts diverged";
-#if SPMRT_CHECKER_ENABLED
         EXPECT_EQ(fast.violations, 0u)
             << regime.name << " (fast):\n" << fast.report;
         EXPECT_EQ(oracle.violations, 0u)
             << regime.name << " (reference):\n" << oracle.report;
-#endif
     }
 }
 
@@ -291,10 +289,8 @@ TEST(GeometryEquivalence, OffPaperMachineMatchesSequentialBitForBit)
                 << "cycle counts diverged off the paper floorplan";
             EXPECT_EQ(fast.switches, oracle.switches);
             EXPECT_EQ(fast.syncPoints, oracle.syncPoints);
-#if SPMRT_CHECKER_ENABLED
             EXPECT_EQ(fast.violations, 0u) << fast.report;
             EXPECT_EQ(oracle.violations, 0u) << oracle.report;
-#endif
         }
     }
 }
@@ -315,9 +311,7 @@ TEST(GeometryEquivalence, Big1024FastMatchesHostReference)
         Outcome fast = runOnceOn(cfg, workload, strict, false);
         EXPECT_EQ(fast.digest, workload.reference)
             << "fast run computed a wrong result on big1024";
-#if SPMRT_CHECKER_ENABLED
         EXPECT_EQ(fast.violations, 0u) << fast.report;
-#endif
     }
 }
 
@@ -353,10 +347,8 @@ TEST(SchedulerEquivalence, MemoryFastPathsMatchUncachedReference)
             EXPECT_EQ(fast.syncPoints, oracle.syncPoints);
             EXPECT_EQ(oracle.compiledTraversals, 0u)
                 << "reference run must not use compiled routes";
-#if SPMRT_CHECKER_ENABLED
             EXPECT_EQ(fast.violations, 0u) << fast.report;
             EXPECT_EQ(oracle.violations, 0u) << oracle.report;
-#endif
         }
     }
 }

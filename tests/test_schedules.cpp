@@ -164,9 +164,6 @@ class ScheduleSweep : public ::testing::TestWithParam<size_t>
 
 TEST_P(ScheduleSweep, SeededPerturbationIsCleanAndDeterministic)
 {
-#if !SPMRT_CHECKER_ENABLED
-    GTEST_SKIP() << "checker compiled out (SPMRT_CHECKER=OFF)";
-#endif
     static const serve::FleetWorkload kSpecs[] = {
         {"fib", 12, 0, 0.0},
         {"cilksort", 400, 900, 0.0},
@@ -225,9 +222,6 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, ScheduleSweep,
 
 TEST(ScheduleSweep, UnperturbedRunIsCleanToo)
 {
-#if !SPMRT_CHECKER_ENABLED
-    GTEST_SKIP() << "checker compiled out (SPMRT_CHECKER=OFF)";
-#endif
     for (const Workload &workload : makeWorkloads()) {
         Outcome out = runOnce(workload, false, 0, true);
         EXPECT_EQ(out.violations, 0u)
@@ -239,9 +233,7 @@ TEST(ScheduleSweep, UnperturbedRunIsCleanToo)
 TEST(ScheduleSweep, ArmingTheCheckerChangesNoCycle)
 {
     // The checker is a pure observer: with it armed and disarmed the
-    // same program must take exactly the same number of cycles. This is
-    // the compiled-IN zero-overhead guarantee; the SPMRT_CHECKER=OFF
-    // build enforces the compiled-OUT one by construction.
+    // same program must take exactly the same number of cycles.
     for (const Workload &workload : makeWorkloads()) {
         Outcome armed = runOnce(workload, false, 0, true);
         Outcome bare = runOnce(workload, false, 0, false);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -308,6 +309,210 @@ TEST(Machine, PerCoreBodiesAndSyncClocks)
     machine.syncClocks();
     for (CoreId i = 0; i < machine.numCores(); ++i)
         EXPECT_EQ(machine.engine().time(i), elapsed);
+}
+
+// ---- Commit route ----------------------------------------------------------
+//
+// A globally visible op whose commit key is not yet globally next is
+// captured into the issuer's FIFO and applied later by the engine
+// (Core::executeHeadOp). In these cases core 1 ticks to the issuer's
+// clock and holds it, so Engine::remoteInlineOk fails at the issue site
+// and each op takes that route. The clocks and switch/syncPoint counts
+// pin the commit route's timing; both schedulers must reproduce them.
+
+/** What one commit-route run observed on the issuing core (core 0). */
+struct CommitObservation
+{
+    Cycles afterOp = 0;    ///< issuer's clock right after the op returns
+    Cycles afterFence = 0; ///< issuer's clock after a trailing fence()
+    uint64_t switches = 0;
+    uint64_t syncPoints = 0;
+};
+
+/**
+ * Run @p op on core 0 of @p machine under @p mode at cycle 10, while
+ * core 1 ties that clock, then fence.
+ */
+CommitObservation
+runCommitRoute(Machine &machine, SchedMode mode,
+               const std::function<void(Core &)> &op)
+{
+    machine.engine().setScheduler(mode);
+    CommitObservation seen;
+    std::vector<std::function<void(Core &)>> bodies(machine.numCores(),
+                                                    [](Core &) {});
+    bodies[0] = [&](Core &core) {
+        core.tick(10);
+        op(core);
+        seen.afterOp = core.now();
+        core.fence();
+        seen.afterFence = core.now();
+    };
+    bodies[1] = [](Core &core) {
+        core.tick(10);
+        core.idle(0);
+    };
+    const uint64_t switches0 = machine.engine().switchCount();
+    const uint64_t syncs0 = machine.engine().syncPointCount();
+    machine.runPerCore(bodies);
+    seen.switches = machine.engine().switchCount() - switches0;
+    seen.syncPoints = machine.engine().syncPointCount() - syncs0;
+    return seen;
+}
+
+/** Both scheduler modes, for the per-kind loops below. */
+constexpr SchedMode kBothModes[] = {SchedMode::Fast, SchedMode::Reference};
+
+/** The 100-byte, line-crossing payload of the burst cases. */
+std::vector<uint8_t>
+burstPattern()
+{
+    std::vector<uint8_t> pattern(100);
+    for (size_t i = 0; i < pattern.size(); ++i)
+        pattern[i] = static_cast<uint8_t>(i * 13 + 5);
+    return pattern;
+}
+
+TEST(CommitRoute, Load)
+{
+    for (SchedMode mode : kBothModes) {
+        Machine machine(MachineConfig::tiny());
+        const Addr remote = machine.mem().map().spmBase(7) + 16;
+        machine.mem().pokeAs<uint32_t>(remote, 0x1234abcd);
+        uint32_t value = 0;
+        CommitObservation seen = runCommitRoute(
+            machine, mode,
+            [&](Core &core) { value = core.load<uint32_t>(remote); });
+        EXPECT_EQ(value, 0x1234abcdu);
+        EXPECT_EQ(machine.mem().peekAs<uint32_t>(remote), 0x1234abcdu);
+        EXPECT_EQ(seen.afterOp, 20u);
+        EXPECT_EQ(seen.afterFence, 20u);
+        EXPECT_EQ(seen.switches, 11u);
+        EXPECT_EQ(seen.syncPoints, 4u);
+    }
+}
+
+TEST(CommitRoute, LoadSync)
+{
+    for (SchedMode mode : kBothModes) {
+        Machine machine(MachineConfig::tiny());
+        const Addr remote = machine.mem().map().spmBase(6) + 8;
+        machine.mem().pokeAs<uint64_t>(remote, 0x0102030405060708ull);
+        uint64_t value = 0;
+        CommitObservation seen =
+            runCommitRoute(machine, mode, [&](Core &core) {
+                value = core.loadSync<uint64_t>(remote);
+            });
+        EXPECT_EQ(value, 0x0102030405060708ull);
+        EXPECT_EQ(machine.mem().peekAs<uint64_t>(remote),
+                  0x0102030405060708ull);
+        EXPECT_EQ(seen.afterOp, 19u);
+        EXPECT_EQ(seen.afterFence, 19u);
+        EXPECT_EQ(seen.switches, 11u);
+        EXPECT_EQ(seen.syncPoints, 4u);
+    }
+}
+
+TEST(CommitRoute, LoadBurst)
+{
+    const std::vector<uint8_t> pattern = burstPattern();
+    for (SchedMode mode : kBothModes) {
+        Machine machine(MachineConfig::tiny());
+        // Offset 40 into a line: the 100 bytes split into 3 chunks.
+        const Addr dram = machine.dramAlloc(256, 64) + 40;
+        machine.mem().poke(dram, pattern.data(), pattern.size());
+        std::vector<uint8_t> readback(pattern.size(), 0);
+        CommitObservation seen =
+            runCommitRoute(machine, mode, [&](Core &core) {
+                core.read(dram, readback.data(), readback.size());
+            });
+        EXPECT_EQ(readback, pattern);
+        std::vector<uint8_t> image(pattern.size());
+        machine.mem().peek(dram, image.data(), image.size());
+        EXPECT_EQ(image, pattern);
+        EXPECT_EQ(machine.core(0).stats().isa.loads, 3u);
+        EXPECT_EQ(seen.afterOp, 106u);
+        EXPECT_EQ(seen.afterFence, 106u);
+        EXPECT_EQ(seen.switches, 11u);
+        EXPECT_EQ(seen.syncPoints, 4u);
+    }
+}
+
+TEST(CommitRoute, Store)
+{
+    for (SchedMode mode : kBothModes) {
+        Machine machine(MachineConfig::tiny());
+        const Addr dram = machine.dramAlloc(8);
+        CommitObservation seen =
+            runCommitRoute(machine, mode, [&](Core &core) {
+                core.store<uint32_t>(dram, 0xfeedf00d);
+            });
+        EXPECT_EQ(machine.mem().peekAs<uint32_t>(dram), 0xfeedf00du);
+        EXPECT_EQ(seen.afterOp, 11u);
+        EXPECT_EQ(seen.afterFence, 83u);
+        EXPECT_EQ(seen.switches, 11u);
+        EXPECT_EQ(seen.syncPoints, 3u);
+    }
+}
+
+TEST(CommitRoute, StoreRelease)
+{
+    for (SchedMode mode : kBothModes) {
+        Machine machine(MachineConfig::tiny());
+        const Addr remote = machine.mem().map().spmBase(5) + 32;
+        CommitObservation seen =
+            runCommitRoute(machine, mode, [&](Core &core) {
+                core.storeRelease<uint64_t>(remote, 0xa5a5a5a55a5a5a5aull);
+            });
+        EXPECT_EQ(machine.mem().peekAs<uint64_t>(remote),
+                  0xa5a5a5a55a5a5a5aull);
+        EXPECT_EQ(seen.afterOp, 11u);
+        EXPECT_EQ(seen.afterFence, 16u);
+        EXPECT_EQ(seen.switches, 11u);
+        EXPECT_EQ(seen.syncPoints, 4u);
+    }
+}
+
+TEST(CommitRoute, StoreBurst)
+{
+    const std::vector<uint8_t> pattern = burstPattern();
+    for (SchedMode mode : kBothModes) {
+        Machine machine(MachineConfig::tiny());
+        // Offset 40 into core 7's window: 3 line-sized chunks.
+        const Addr remote = machine.mem().map().spmBase(7) + 40;
+        CommitObservation seen =
+            runCommitRoute(machine, mode, [&](Core &core) {
+                core.write(remote, pattern.data(), pattern.size());
+            });
+        std::vector<uint8_t> image(pattern.size());
+        machine.mem().peek(remote, image.data(), image.size());
+        EXPECT_EQ(image, pattern);
+        EXPECT_EQ(machine.core(0).stats().isa.stores, 3u);
+        EXPECT_EQ(seen.afterOp, 13u);
+        EXPECT_EQ(seen.afterFence, 42u);
+        EXPECT_EQ(seen.switches, 11u);
+        EXPECT_EQ(seen.syncPoints, 3u);
+    }
+}
+
+TEST(CommitRoute, Amo)
+{
+    for (SchedMode mode : kBothModes) {
+        Machine machine(MachineConfig::tiny());
+        const Addr remote = machine.mem().map().spmBase(3) + 4;
+        machine.mem().pokeAs<uint32_t>(remote, 40);
+        uint32_t old_value = 0;
+        CommitObservation seen =
+            runCommitRoute(machine, mode, [&](Core &core) {
+                old_value = core.amoAdd(remote, 2);
+            });
+        EXPECT_EQ(old_value, 40u);
+        EXPECT_EQ(machine.mem().peekAs<uint32_t>(remote), 42u);
+        EXPECT_EQ(seen.afterOp, 20u);
+        EXPECT_EQ(seen.afterFence, 20u);
+        EXPECT_EQ(seen.switches, 11u);
+        EXPECT_EQ(seen.syncPoints, 4u);
+    }
 }
 
 } // namespace
