@@ -4,13 +4,15 @@
  *
  * Runs fib/cilksort/uts/nqueens under the work-stealing runtime at 16 and
  * 128 cores, once with the winner-tree scheduler and once with the
- * linear-scan reference scheduler, and records host wall-clock, context
+ * linear-scan reference oracle, and records host wall-clock, context
  * switches, sync points, and simulated cycles. Like every bench it
  * reports through bench::Report: `--out=BENCH_host_perf.json` writes the
  * rows as spmrt-bench-v1 JSON (fields in EXPERIMENTS.md E13), which
  * tools/check_host_perf.py gates against the committed baseline and
  * trajectory. The gated quantity is the fast-vs-reference speedup, which
- * is machine-independent in a way absolute wall-clock is not.
+ * is machine-independent in a way absolute wall-clock is not. It divides
+ * by the oracle's cost (its O(N) ready-set scans on the shared dispatch
+ * path), which is not a product metric: the fast wall_ms is.
  *
  * Each workload is built by serve::makeWorkloadRequest(), the same
  * builder fleet jobs use. Both schedulers must produce the host

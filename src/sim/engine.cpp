@@ -103,10 +103,6 @@ Engine::finishCurrent(Slot &slot)
     slot.finished = true;
     --live_;
     foldHighWater(slot.time);
-    if (reference()) {
-        GuestContext::switchTo(slot.ctx, schedCtx_);
-        return; // resumed by a later run()
-    }
     readyErase(slot.id);
     if (live_ == 0) {
         // Last core out ends the run: hand control back to run().
@@ -134,14 +130,6 @@ Engine::run()
             slot.ctx.init(stacks_.guardedStack(i), stacks_.usableBytes(),
                           &Engine::entryThunk, this);
         ++live_;
-    }
-
-    if (reference()) {
-        runReference();
-        running_ = kInvalidCore;
-        if (abortPending_)
-            throwPendingAbort();
-        return;
     }
 
     // Build the ready tree over runnable cores: fill the leaves, then
@@ -172,90 +160,33 @@ Engine::run()
 }
 
 void
-Engine::runReference()
-{
-    // The original linear-scan scheduler, kept as the equivalence oracle
-    // for the winner-tree fast path (now including the remote-op commit
-    // queue: ops commit exactly when their key is globally next).
-    while (live_ > 0) {
-        // Deterministic argmin over unfinished, unblocked cores; ties
-        // favor lower id.
-        Slot *next = nullptr;
-        for (uint32_t i = 0; i < numCores_; ++i) {
-            Slot &slot = slots_[i];
-            if (slot.finished || slot.blocked)
-                continue;
-            if (next == nullptr || slot.time < next->time)
-                next = &slot;
-        }
-        // A pending remote op whose commit time is at or before the
-        // earliest gate is globally next (ops precede gates at equal
-        // times); executing it may wake a blocked core, so re-scan.
-        if (next == nullptr || cachedEventMin_ <= next->time) {
-            if (!events_.empty()) {
-                executeOneEvent();
-                continue;
-            }
-        }
-        SPMRT_ASSERT(next != nullptr,
-                     "deadlock: all %u live cores are blocked", live_);
-        if (schedPerturb_) {
-            // Seeded pick among cores within the window of the minimum.
-            // Any candidate satisfies the window-relaxed syncPoint bound
-            // (candidate.time <= min + window <= minOther + window), so
-            // the pick always makes progress.
-            schedCandidates_.clear();
-            for (uint32_t i = 0; i < numCores_; ++i) {
-                Slot &slot = slots_[i];
-                if (slot.finished || slot.blocked)
-                    continue;
-                if (slot.time - next->time <= schedWindow_)
-                    schedCandidates_.push_back(&slot);
-            }
-            if (schedCandidates_.size() > 1)
-                next = schedCandidates_[schedRng_.nextBounded(
-                    schedCandidates_.size())];
-        }
-        if (interruptDue(next->time) && checkInterrupts(next->time))
-            return; // pending abort: run() throws on this host stack
-        if (obs::Tracer *t = tracer())
-            t->instant(obs::kTraceSwitch, next->id, next->time, "switch");
-        running_ = next->id;
-        ++switches_;
-        GuestContext::switchTo(schedCtx_, next->ctx);
-        foldHighWater(next->time);
-        running_ = kInvalidCore;
-    }
-}
-
-Engine::Slot *
-Engine::pickNext()
-{
-    SPMRT_ASSERT(tree_[1] != kAbsent,
-                 "deadlock: all %u live cores are blocked", live_);
-    CoreId next_id = keyId(tree_[1]);
-    if (schedPerturb_) {
-        collectWindowCandidates();
-        if (candidateIds_.size() > 1)
-            next_id = candidateIds_[schedRng_.nextBounded(
-                candidateIds_.size())];
-    }
-    return &slots_[next_id];
-}
-
-void
 Engine::dispatchFrom(GuestContext &from)
 {
     // Commit every remote op whose key precedes the earliest gate (ops
     // precede gates at equal times). Executions can wake blocked cores,
-    // which changes the root, so re-check it each round. The sentinels
+    // which changes the argmin, so re-ask it each round. The sentinels
     // order themselves: an empty queue (kNoOtherCore) exceeds every
-    // root time, and an empty tree's root time (keyTime(kAbsent)) exceeds
-    // every commit time, so when all live cores are blocked the queue is
-    // the only way forward.
-    while (cachedEventMin_ <= keyTime(tree_[1]))
+    // gate time, and an empty ready set's time (keyTime(kAbsent))
+    // exceeds every commit time, so when all live cores are blocked the
+    // queue is the only way forward.
+    PackedKey min_key = minReadyKey();
+    while (cachedEventMin_ <= keyTime(min_key)) {
         executeOneEvent();
-    Slot *next = pickNext();
+        min_key = minReadyKey();
+    }
+    SPMRT_ASSERT(min_key != kAbsent,
+                 "deadlock: all %u live cores are blocked", live_);
+    CoreId next_id = keyId(min_key);
+    if (schedPerturb_) {
+        // Any candidate satisfies the window-relaxed syncPoint bound
+        // (candidate.time <= min + window <= minOther + window), so the
+        // seeded pick always makes progress.
+        collectWindowCandidates(keyTime(min_key));
+        if (candidateIds_.size() > 1)
+            next_id = candidateIds_[schedRng_.nextBounded(
+                candidateIds_.size())];
+    }
+    Slot *next = &slots_[next_id];
     if (interruptDue(next->time) && checkInterrupts(next->time)) {
         // Supervised abort: leave the interrupted guest (if any)
         // suspended and unwind this thread, where run() throws the
@@ -266,8 +197,6 @@ Engine::dispatchFrom(GuestContext &from)
         return;
     }
     cachedOtherMin_ = minReadyTimeExcluding(next->id);
-    // Mirrors the reference scheduler: one event per dispatch, so a trace
-    // taken under either scheduler shows the same timeline.
     if (obs::Tracer *t = tracer())
         t->instant(obs::kTraceSwitch, next->id, next->time, "switch");
     ++switches_;
@@ -282,43 +211,21 @@ Engine::syncPoint(CoreId id)
 {
     ++syncPoints_;
     Slot &slot = slots_[id];
-
-    if (!reference()) {
-        // Fast path: cachedOtherMin_ is the exact minimum clock among
-        // the other runnable cores, so the common case — this core still
-        // holds the global minimum — is a single compare. The loop body
-        // runs only when the core must actually yield.
-        while (true) {
-            Cycles limit = cachedOtherMin_;
-            if (schedPerturb_ && limit != kNoOtherCore)
-                limit += schedWindow_;
-            if (slot.time <= limit) {
-                // Remote ops committing at or before this core's clock
-                // precede its upcoming operation; commit them first
-                // (inline — no switch), then re-check: a commit can wake
-                // an earlier core this one must now yield to.
-                if (cachedEventMin_ <= slot.time) {
-                    drainDueEvents(slot.time);
-                    continue;
-                }
-                return;
-            }
-            foldHighWater(slot.time);
-            readyUpdate(id, slot.time);
-            dispatchFrom(slot.ctx);
-        }
-    }
-
-    // The scheduler resumes only the global-minimum core, so a single
-    // failed check needs exactly one yield; loop anyway for robustness.
-    // Under schedule perturbation the bound is relaxed by the window so
-    // the scheduler's off-minimum picks are admitted (guarding the
-    // "alone" sentinel against overflow).
+    // The common case — this core still holds the global minimum — is a
+    // single compare against the other runnable cores' minimum; the loop
+    // body runs only when the core must actually yield. Under schedule
+    // perturbation the bound is relaxed by the window so the scheduler's
+    // off-minimum picks are admitted (guarding the "alone" sentinel
+    // against overflow).
     while (true) {
-        Cycles limit = minOtherTime(id);
-        if (schedPerturb_ && limit != std::numeric_limits<Cycles>::max())
+        Cycles limit = otherReadyMin(id);
+        if (schedPerturb_ && limit != kNoOtherCore)
             limit += schedWindow_;
         if (slot.time <= limit) {
+            // Remote ops committing at or before this core's clock
+            // precede its upcoming operation; commit them first (inline —
+            // no switch), then re-check: a commit can wake an earlier
+            // core this one must now yield to.
             if (cachedEventMin_ <= slot.time) {
                 drainDueEvents(slot.time);
                 continue;
@@ -333,10 +240,6 @@ void
 Engine::yield(CoreId id)
 {
     Slot &slot = slots_[id];
-    if (reference()) {
-        GuestContext::switchTo(slot.ctx, schedCtx_);
-        return;
-    }
     foldHighWater(slot.time);
     readyUpdate(id, slot.time);
     dispatchFrom(slot.ctx);
@@ -358,13 +261,9 @@ Engine::block(CoreId id, ParkKind kind)
     }
     slot.blocked = true;
     slot.park = kind;
-    if (reference()) {
-        GuestContext::switchTo(slot.ctx, schedCtx_);
-    } else {
-        foldHighWater(slot.time);
-        readyErase(id);
-        dispatchFrom(slot.ctx);
-    }
+    foldHighWater(slot.time);
+    readyErase(id);
+    dispatchFrom(slot.ctx);
     SPMRT_ASSERT(!slot.blocked, "blocked core %u resumed while parked", id);
 }
 
@@ -386,13 +285,11 @@ Engine::unblock(CoreId id, Cycles t)
     if (t > slot.time)
         slot.time = t;
     foldHighWater(slot.time);
-    if (!reference()) {
-        readyInsert(id, slot.time);
-        // The woken core joins the running core's "others"; min-fold
-        // keeps the syncPoint cache exact.
-        if (running_ != kInvalidCore && slot.time < cachedOtherMin_)
-            cachedOtherMin_ = slot.time;
-    }
+    readyInsert(id, slot.time);
+    // The woken core joins the running core's "others"; min-fold keeps
+    // the syncPoint cache exact.
+    if (running_ != kInvalidCore && slot.time < cachedOtherMin_)
+        cachedOtherMin_ = slot.time;
 }
 
 void
@@ -406,19 +303,15 @@ Engine::commitWake(CoreId id, Cycles t)
     if (t > slot.time)
         slot.time = t;
     foldHighWater(slot.time);
-    if (!reference()) {
-        readyInsert(id, slot.time);
-        if (running_ != kInvalidCore && slot.time < cachedOtherMin_)
-            cachedOtherMin_ = slot.time;
-    }
+    readyInsert(id, slot.time);
+    if (running_ != kInvalidCore && slot.time < cachedOtherMin_)
+        cachedOtherMin_ = slot.time;
 }
 
 void
 Engine::foreignClockChange(Slot &slot)
 {
     foldHighWater(slot.time);
-    if (reference())
-        return;
     if (ready(slot.id))
         readyUpdate(slot.id, slot.time);
     if (running_ != kInvalidCore)
@@ -466,10 +359,29 @@ Engine::drainAllEvents()
         executeOneEvent();
 }
 
-Cycles
-Engine::minOtherTime(CoreId self) const
+// ---- Reference oracle: the ready-set queries by linear scan --------------
+
+Engine::PackedKey
+Engine::scanMinKey() const
 {
-    Cycles min_time = std::numeric_limits<Cycles>::max();
+    // Deterministic argmin over unfinished, unblocked cores; ties favor
+    // lower id.
+    const Slot *min_slot = nullptr;
+    for (uint32_t i = 0; i < numCores_; ++i) {
+        const Slot &slot = slots_[i];
+        if (slot.finished || slot.blocked)
+            continue;
+        if (min_slot == nullptr || slot.time < min_slot->time)
+            min_slot = &slot;
+    }
+    return min_slot == nullptr ? kAbsent
+                               : packKey(min_slot->id, min_slot->time);
+}
+
+Cycles
+Engine::scanOtherMin(CoreId self) const
+{
+    Cycles min_time = kNoOtherCore;
     for (uint32_t i = 0; i < numCores_; ++i) {
         const Slot &slot = slots_[i];
         if (slot.finished || slot.blocked || slot.id == self)
@@ -532,16 +444,25 @@ Engine::minReadyTimeExcluding(CoreId self) const
 }
 
 void
-Engine::collectWindowCandidates()
+Engine::collectWindowCandidates(Cycles min_time)
 {
+    candidateIds_.clear();
+    if (reference()) {
+        // Oracle: an id-ordered scan of the runnable cores.
+        for (uint32_t i = 0; i < numCores_; ++i) {
+            const Slot &slot = slots_[i];
+            if (!slot.finished && !slot.blocked &&
+                slot.time - min_time <= schedWindow_)
+                candidateIds_.push_back(slot.id);
+        }
+        return;
+    }
     // Bounded descent: every leaf within the window of the root's time,
     // pruning subtrees whose least key already exceeds it. Pushing the
     // right child first visits leaves left to right, so the ids come out
     // ascending and the RNG consumes exactly the same index stream as
-    // the reference scheduler's id-ordered scan.
-    candidateIds_.clear();
+    // the oracle's id-ordered scan.
     descentStack_.clear();
-    const Cycles min_time = keyTime(tree_[1]);
     descentStack_.push_back(1);
     while (!descentStack_.empty()) {
         const uint32_t pos = descentStack_.back();

@@ -29,11 +29,12 @@
  *    context switches (watchdog and perturbation hooks run inline on the
  *    yielding side).
  *
- * The original linear-scan scheduler is retained, runtime-selectable, as
- * the equivalence oracle (see setScheduler and SPMRT_ENGINE_SCHED, the
- * engine's one knob); both produce bit-identical results, cycle counts,
- * and switch counts by construction, and tests/test_engine_equiv.cpp
- * enforces it.
+ * Both scheduling modes share one dispatch path; the reference oracle
+ * (see setScheduler and SPMRT_ENGINE_SCHED, the engine's one knob) only
+ * answers the ready-set queries — the argmin, the other runnable cores'
+ * minimum clock, the perturbation window's candidates — by a fresh
+ * linear scan instead of from the tree. tests/test_engine_equiv.cpp
+ * checks that results, cycle counts, and switch counts are bit-identical.
  *
  * Schedule exploration (perturbSchedule) deliberately loosens the argmin:
  * among candidates whose clocks lie within a window of the global minimum,
@@ -71,11 +72,11 @@
 namespace spmrt {
 
 /**
- * Runtime-selectable scheduling policy.
+ * How the engine answers its ready-set queries.
  *
- *  - Reference: the original O(N) linear-scan argmin, kept as the
- *    equivalence oracle.
- *  - Fast: the winner-tree argmin (the default).
+ *  - Reference: O(N) linear scans of the core slots, the equivalence
+ *    oracle.
+ *  - Fast: the winner tree and its cached other-min (the default).
  */
 enum class SchedMode : uint8_t
 {
@@ -269,14 +270,11 @@ class Engine
     /**
      * @name Scheduler selection
      *
-     * The winner-tree scheduler (SchedMode::Fast) is the default. The
-     * original O(N) linear-scan scheduler is kept, selectable at runtime,
-     * as the equivalence oracle: same argmin, same tie-break, same RNG
-     * consumption under perturbation, so results, cycle counts, and
-     * switch counts are bit-identical between the two. The
-     * SPMRT_ENGINE_SCHED environment variable (reference|fast) sets the
-     * default at engine construction, so one binary can serve as its own
-     * oracle.
+     * The winner-tree scheduler (SchedMode::Fast) is the default;
+     * SchedMode::Reference is the linear-scan oracle (see the file
+     * comment). The SPMRT_ENGINE_SCHED environment variable
+     * (reference|fast) sets the default at engine construction, so one
+     * binary can serve as its own oracle.
      * @{
      */
     void
@@ -332,8 +330,7 @@ class Engine
     {
         if (!events_.empty() && events_[0] < packKey(id, commit))
             return false;
-        Cycles other = reference() ? minOtherTime(id) : cachedOtherMin_;
-        return other >= commit;
+        return otherReadyMin(id) >= commit;
     }
     /** @} */
 
@@ -493,7 +490,8 @@ class Engine
 
     static void entryThunk(void *opaque);
 
-    /** True while the linear-scan oracle scheduler is selected. */
+    /** True while the linear-scan oracle answers the ready-set queries;
+     *  read only by those queries. */
     bool reference() const { return mode_ == SchedMode::Reference; }
 
     void
@@ -556,9 +554,39 @@ class Engine
     /** Throw the recorded pending abort (clears it first). */
     [[noreturn]] void throwPendingAbort();
 
-    /** Minimal clock among unfinished cores other than @p self (O(N);
-     *  reference scheduler only). */
-    Cycles minOtherTime(CoreId self) const;
+    /**
+     * @name Ready-set queries
+     *
+     * The only scheduling decisions; everything else is shared control
+     * flow. Fast mode reads the winner tree and cachedOtherMin_; the
+     * reference oracle answers each query by a fresh O(N) scan of the
+     * slots.
+     * @{
+     */
+
+    /** Least (time, id) key among runnable cores; kAbsent when none. */
+    PackedKey
+    minReadyKey() const
+    {
+        return reference() ? scanMinKey() : tree_[1];
+    }
+
+    /** Minimum clock among runnable cores other than the running core
+     *  @p self; kNoOtherCore when none. */
+    Cycles
+    otherReadyMin(CoreId self) const
+    {
+        return reference() ? scanOtherMin(self) : cachedOtherMin_;
+    }
+
+    /** Ids of the runnable cores within the window of @p min_time,
+     *  ascending, into candidateIds_ (tree descent or id-ordered scan). */
+    void collectWindowCandidates(Cycles min_time);
+
+    /** The oracle's answers to the first two queries. */
+    PackedKey scanMinKey() const;
+    Cycles scanOtherMin(CoreId self) const;
+    /** @} */
 
     /** @name Remote-op commit queue internals
      *
@@ -600,21 +628,16 @@ class Engine
     /** Slow path for clock changes on a non-running core. */
     void foreignClockChange(Slot &slot);
 
-    /** The original O(N) linear-scan scheduling loop (oracle). */
-    void runReference();
-
     /** Body-return bookkeeping for the current core. */
     void finishCurrent(Slot &slot);
 
     /**
-     * Pick the next core to run (tree root, or a seeded within-window
-     * candidate under perturbation), run the watchdog check, and switch
-     * from @p from into it. Called with all ready-tree keys fresh.
+     * Commit the remote ops that precede the earliest gate, pick the next
+     * core (the argmin, or a seeded within-window candidate under
+     * perturbation), run the interrupt checks, and switch from @p from
+     * into it. Called with all ready-tree keys fresh.
      */
     void dispatchFrom(GuestContext &from);
-
-    /** Next core per the strict or perturbed policy (asserts progress). */
-    Slot *pickNext();
 
     /**
      * @name Winner tree over runnable cores
@@ -658,10 +681,6 @@ class Engine
     /** Min time over ready cores other than @p self (the siblings along
      *  @p self's leaf-to-root path); kNoOtherCore when none. */
     Cycles minReadyTimeExcluding(CoreId self) const;
-
-    /** Ids within the window of the root's time, ascending (DFS with
-     *  subtree pruning; fills candidateIds_). */
-    void collectWindowCandidates();
     /** @} */
 
     GuestContext schedCtx_;
@@ -687,11 +706,12 @@ class Engine
     Cycles maxPackTime_ = 0;      ///< keyTime(kAbsent); clocks stay below
     /**
      * Exact minimum clock among runnable cores other than running_,
-     * recomputed at every dispatch and min-folded on unblock. Exactness
-     * holds because suspended cores' clocks are frozen: only the running
-     * core can change the runnable-other set (by waking a core), and that
-     * path updates the cache. syncPoint's no-scan fast path compares
-     * against this value.
+     * recomputed at every dispatch and min-folded on unblock (kept in
+     * both modes; only fast mode reads it). Exactness holds because
+     * suspended cores' clocks are frozen: only the running core can
+     * change the runnable-other set (by waking a core), and that path
+     * updates the cache. syncPoint's no-scan fast path compares against
+     * this value.
      */
     Cycles cachedOtherMin_ = kNoOtherCore;
     Cycles highWater_ = 0; ///< max clock ever folded (see maxTime())
@@ -719,9 +739,8 @@ class Engine
     bool schedPerturb_ = false;
     Cycles schedWindow_ = 0;
     Xoshiro256StarStar schedRng_;
-    std::vector<Slot *> schedCandidates_; ///< scratch (reference scan)
-    std::vector<CoreId> candidateIds_;    ///< scratch (tree descent)
-    std::vector<uint32_t> descentStack_;  ///< scratch (tree descent)
+    std::vector<CoreId> candidateIds_;   ///< scratch (window candidates)
+    std::vector<uint32_t> descentStack_; ///< scratch (tree descent)
 };
 
 } // namespace spmrt

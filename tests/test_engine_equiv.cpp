@@ -1,17 +1,20 @@
 /**
  * @file
  * Scheduler equivalence suite: the winner-tree fast scheduler vs. the
- * retained linear-scan reference scheduler.
+ * linear-scan reference oracle.
  *
- * The engine contract is that the fast path changes *host* cost only:
- * same deterministic argmin with lowest-id tie-break, same RNG
- * consumption under perturbation, same watchdog semantics. So for every
- * workload and scheduling regime — strict, seed-perturbed, and
- * fault-injected — the two schedulers must produce byte-identical
- * results, identical final cycle counts, and identical context-switch
- * counts, with the concurrency checker armed and reporting zero
- * violations on both. Any drift here means the fast scheduler is not a
- * pure optimization and invalidates every recorded experiment.
+ * Both modes run the engine's one dispatch path; the oracle only answers
+ * the ready-set queries (the argmin, the other runnable cores' minimum
+ * clock, the perturbation window's candidates) by a fresh scan of the
+ * core slots. The engine contract is that the tree and its cache change
+ * *host* cost only: same deterministic argmin with lowest-id tie-break,
+ * same RNG consumption under perturbation. So for every workload and
+ * scheduling regime — strict, seed-perturbed, and fault-injected — the
+ * two modes must produce byte-identical results, identical final cycle
+ * counts, and identical context-switch counts, with the concurrency
+ * checker armed and reporting zero violations on both. Any drift here
+ * means the fast scheduler is not a pure optimization and invalidates
+ * every recorded experiment.
  */
 
 #include <gtest/gtest.h>

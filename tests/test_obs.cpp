@@ -155,9 +155,10 @@ TEST(TraceSchema, CilkSortTimelineWellFormed)
         if (event.phase == 'X')
             continue;
         auto it = last_ts.find(event.track);
-        if (it != last_ts.end())
+        if (it != last_ts.end()) {
             EXPECT_GE(event.ts, it->second)
                 << "track " << event.track << " event " << event.name;
+        }
         last_ts[event.track] = event.ts;
         if (event.phase == 'B') {
             open[event.track].push_back(event.name);

@@ -253,7 +253,7 @@ TEST(ScheduleSweep, ArmingTheCheckerChangesNoCycle)
 
 TEST(SchedulePerturbation, WindowRelaxedSyncPointStillTerminatesAlone)
 {
-    // A machine where only one core has a body: minOtherTime() is the
+    // A machine where only one core has a body: otherReadyMin() is the
     // "alone" sentinel; the window-relaxed bound must not overflow it.
     Machine machine(MachineConfig::tiny());
     machine.engine().perturbSchedule(99, 1000);

@@ -515,5 +515,29 @@ TEST(CommitRoute, Amo)
     }
 }
 
+// A posted store captured after the last dispatch — its issuer returns
+// with no fence while core 1 still holds clock 0, so the store is never
+// globally next before the run ends — must still land before run()
+// returns, under either scheduler.
+TEST(CommitRoute, PostedStoreDrainsAtRunEnd)
+{
+    for (SchedMode mode : kBothModes) {
+        Machine machine(MachineConfig::tiny());
+        machine.engine().setScheduler(mode);
+        const Addr dram = machine.dramAlloc(8);
+        std::vector<std::function<void(Core &)>> bodies(machine.numCores(),
+                                                        [](Core &) {});
+        bodies[0] = [&](Core &core) { core.store<uint32_t>(dram, 42); };
+        bodies[1] = [](Core &core) {
+            for (int i = 0; i < 3; ++i)
+                core.tick(0);
+        };
+        machine.runPerCore(bodies);
+        EXPECT_EQ(machine.mem().peekAs<uint32_t>(dram), 42u);
+        EXPECT_EQ(machine.engine().switchCount(), 8u);
+        EXPECT_EQ(machine.engine().syncPointCount(), 1u);
+    }
+}
+
 } // namespace
 } // namespace spmrt

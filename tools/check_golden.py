@@ -9,42 +9,65 @@ cell by cell, and prints every differing cell.
 
 Only deterministic columns are golden; wall-clock columns are not:
 
-    table1_main  rows keyed by workload + input + config;
-                 cycles_k, ops_k, steals, ok
-    host_perf    rows keyed by workload + cores;
-                 sim_cycles, switches, syncpoints, equivalent
+    table1_main       rows keyed by workload + input + config;
+                      cycles_k, ops_k, steals, ok
+    host_perf         rows keyed by workload + cores;
+                      sim_cycles, switches, syncpoints, equivalent
+    fig09_speedup     rows keyed by workload + input;
+                      every variant column (static *, ws *), ok
+    fig10_spawn_sync  rows keyed by workload + input + variant;
+                      cycles, normalized, ok
+    fig11_scaling     rows keyed by workload + geometry; x* (speedup per
+                      core count), cycles_*, ws_over_static, ok (the
+                      scaling and saturation sections carry different
+                      columns, so a row keeps whichever it has)
+
+Value columns are fnmatch patterns; a row keeps every column a pattern
+matches.
 
 A row present on one side only is a failure, and so is a golden bench
 with no measurement given: the gate never passes vacuously.
 
 Usage (from the build tree's bench/ directory):
-    SPMRT_BENCH_QUICK=1 ./table1_main --out=BENCH_table1_main.json
-    SPMRT_BENCH_QUICK=1 ./host_perf --out=BENCH_host_perf.json
+    for b in table1_main host_perf fig09_speedup fig10_spawn_sync \\
+             fig11_scaling; do
+        SPMRT_BENCH_QUICK=1 ./$b --out=BENCH_$b.json
+    done
     python3 ../../tools/check_golden.py ../../bench/golden_quick.json \\
-        BENCH_table1_main.json BENCH_host_perf.json
+        BENCH_table1_main.json BENCH_host_perf.json \\
+        BENCH_fig09_speedup.json BENCH_fig10_spawn_sync.json \\
+        BENCH_fig11_scaling.json
 
 Regenerating the golden file (only when a change is meant to move
-simulated results, and say so in the change): run the two benches as
+simulated results, and say so in the change): run the five benches as
 above on the new code, then
 
     python3 -c "import sys; sys.path.insert(0, '../../tools'); \\
         import check_golden; check_golden.write_golden( \\
-        '../../bench/golden_quick.json', \\
-        ['BENCH_table1_main.json', 'BENCH_host_perf.json'])"
+        '../../bench/golden_quick.json', ['BENCH_%s.json' % b for b in \\
+        ('table1_main', 'host_perf', 'fig09_speedup', 'fig10_spawn_sync', \\
+         'fig11_scaling')])"
 """
 
+import fnmatch
 import json
 import sys
 
 GOLDEN_SCHEMA = "spmrt-golden-v1"
 MEASUREMENT_SCHEMA = "spmrt-bench-v1"
 
-# bench name -> (row key columns, golden value columns)
+# bench name -> (row key columns, golden value column patterns)
 GOLDEN_COLUMNS = {
     "table1_main": (("workload", "input", "config"),
                     ("cycles_k", "ops_k", "steals", "ok")),
     "host_perf": (("workload", "cores"),
                   ("sim_cycles", "switches", "syncpoints", "equivalent")),
+    "fig09_speedup": (("workload", "input"),
+                      ("static *", "ws *", "ok")),
+    "fig10_spawn_sync": (("workload", "input", "variant"),
+                         ("cycles", "normalized", "ok")),
+    "fig11_scaling": (("workload", "geometry"),
+                      ("x*", "cycles_*", "ws_over_static", "ok")),
 }
 
 
@@ -77,7 +100,9 @@ def golden_rows(doc, path):
         key = "/".join(str(row.get(col)) for col in key_cols)
         if key in rows:
             fail(f"{path}: duplicate {bench} row {key}")
-        rows[key] = {col: row[col] for col in value_cols if col in row}
+        rows[key] = {col: value for col, value in row.items()
+                     if any(fnmatch.fnmatchcase(col, pattern)
+                            for pattern in value_cols)}
     return bench, rows
 
 
@@ -184,6 +209,17 @@ def self_test():
                perf[1]]
     expect(len(check(golden, measure(table, dropped))) == 1,
            "a dropped golden column fails")
+    scaling = golden_rows(doc("fig11_scaling", [
+        {"workload": "NQueens", "geometry": "g", "x1": 1, "x128": 42.5,
+         "ok": True, "wall_ms": 3.0},
+        {"workload": "NQueens-sat", "geometry": "g", "cycles_ws": 9007,
+         "cycles_static": 20152, "ws_over_static": 2.2, "ok": True}]),
+        "s")[1]
+    expect(scaling == {
+        "NQueens/g": {"x1": 1, "x128": 42.5, "ok": True},
+        "NQueens-sat/g": {"cycles_ws": 9007, "cycles_static": 20152,
+                          "ws_over_static": 2.2, "ok": True}},
+        f"pattern columns keep every match and nothing else: {scaling}")
 
     for failure in failures:
         print(f"self-test FAILED: {failure}")
